@@ -15,7 +15,6 @@ from .qualalg import (
     PartitionError,
     ProbInterval,
     QRange,
-    build_partition,
     certainty_leq,
     hull,
     meet,
@@ -36,7 +35,6 @@ __all__ = [
     "SyllogismInput",
     "TypicalityInput",
     "bayes_cycle",
-    "build_partition",
     "certainty_leq",
     "eval_extended",
     "gen_table",

@@ -7,12 +7,7 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from . import adams, network, oracle, qualalg, tables
-from .bounds import SyllogismInput, syllogism
-from .oracle import OracleProblem
-from .qualalg import ProbInterval
+from . import network, qualalg, tables
 
 
 def _read(path: str) -> str:
@@ -131,93 +126,10 @@ def cmd_robustness(args) -> int:
     return 0
 
 
-def _random_interval(rng, precise: bool) -> ProbInterval:
-    if precise:
-        x = float(rng.uniform(0.05, 0.95))
-        return ProbInterval(x, x)
-    a, b = sorted(rng.uniform(0.0, 1.0, size=2))
-    return ProbInterval(float(a), float(b))
-
-
-def run_check(n: int, seed: int) -> dict:
-    """Soundness/tightness comparison against the LP oracle plus rule checks."""
-    rng = np.random.default_rng(seed)
-    report = {
-        "n": n,
-        "seed": seed,
-        "max_tight_gap": 0.0,
-        "max_soundness_violation": 0.0,
-        "tight_failures": 0,
-    }
-    for precise in (True, False):
-        for _ in range(n):
-            inp = SyllogismInput(*(_random_interval(rng, precise) for _ in range(4)))
-            ca, _ = syllogism(inp)
-            problem = OracleProblem(
-                3,
-                [
-                    (0, 1, inp.b_given_a),
-                    (1, 0, inp.a_given_b),
-                    (1, 2, inp.c_given_b),
-                    (2, 1, inp.b_given_c),
-                ],
-                (0, 2),
-            )
-            res = oracle.solve(problem)
-            if not res.ok:
-                continue
-            violation = max(ca.lo - res.interval.lo, res.interval.hi - ca.hi, 0.0)
-            report["max_soundness_violation"] = max(
-                report["max_soundness_violation"], round(violation, 9)
-            )
-            if precise:
-                gap = max(abs(ca.lo - res.interval.lo), abs(ca.hi - res.interval.hi))
-                report["max_tight_gap"] = max(report["max_tight_gap"], round(gap, 9))
-                if gap > 0.02:
-                    report["tight_failures"] += 1
-    if n > 0:
-        report["adams"] = {}
-        for name, bound, constraints, target in adams_oracle_problems(0.3):
-            res = oracle.solve_events(3, constraints, target)
-            report["adams"][name] = {
-                "bound": round(bound, 9),
-                "oracle_min": round(res.interval.lo, 9),
-                "sound": bound <= res.interval.lo + 1e-6,
-            }
-    return report
-
-
-def adams_oracle_problems(alpha: float):
-    """(name, bound, constraints, target) at the event level, one per rule."""
-    k = 3
-    a_ev = oracle.class_event(k, 0)
-    b_ev = oracle.class_event(k, 1)
-    c_ev = oracle.class_event(k, 2)
-    most = ProbInterval(1.0 - alpha, 1.0)
-    return [
-        (
-            "triangularity",
-            adams.triangularity_bound(alpha),
-            [(b_ev, a_ev, most), (c_ev, a_ev, most)],
-            (c_ev, a_ev & b_ev),
-        ),
-        (
-            "bayes_rule",
-            adams.bayes_rule_bound(alpha),
-            [(b_ev, a_ev, most), (c_ev, a_ev & b_ev, most)],
-            (c_ev, a_ev),
-        ),
-        (
-            "disjunction",
-            adams.disjunction_bound(alpha, alpha),
-            [(c_ev, a_ev, most), (c_ev, b_ev, most)],
-            (c_ev, a_ev | b_ev),
-        ),
-    ]
-
-
 def cmd_check(args) -> int:
-    report = run_check(args.n, args.seed)
+    from . import oracle  # imports scipy, which no other subcommand needs
+
+    report = oracle.run_check(args.n, args.seed)
     _write(args.out, json.dumps(report, indent=2, sort_keys=True) + "\n")
     if report["max_soundness_violation"] > 0.0:
         print("soundness violation detected", file=sys.stderr)

@@ -4,9 +4,14 @@ Statements constrain P(to|from) for ordered node pairs, either numerically
 or with a qualitative range over the KB's scale.  Saturation repeatedly
 applies the syllogism pattern over all ordered node triples, then the cycle
 form of Bayes' theorem over simple cycles, alternating until nothing
-improves.  Numeric mode intersects intervals (with an epsilon threshold so
-floating point terminates); qualitative mode works entirely inside the
-finite label algebra via the precomputed table, so it terminates exactly.
+improves.  One engine serves both modes: each rule proposes a candidate
+for its target edge, and one narrowing step meets it into the edge.  The
+mode only picks the domain.  Numeric mode runs the closed forms on
+intervals, with an epsilon threshold so floating point terminates.
+Qualitative mode evaluates the same closed forms on the hulls of label
+ranges and approximates once (`tables.eval_extended`), and runs the cycle
+rule in the label algebra; the lattice of ranges is finite, so it
+terminates exactly.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from dataclasses import dataclass, field
 
 from . import qualalg, tables
 from .bounds import SyllogismInput, bayes_cycle, syllogism_lower, syllogism_upper
-from .qualalg import FULL, Partition, ProbInterval, QRange, strip_comment
+from .qualalg import FULL, TOL, Partition, ProbInterval, QRange, strip_comment
 from .tables import SyllogismTable, eval_extended
 
 
@@ -198,18 +203,136 @@ def _cycle_rotations(cycle: tuple[str, ...]):
 # -- saturation ---------------------------------------------------------------
 
 
+class _Intervals:
+    """Numeric mode: edges hold intervals, and a move of at most eps is no change.
+
+    A candidate is a (lo, hi) pair; the syllogism may return it inverted.
+    """
+
+    cycle_phase = "bayes"
+    show = str
+    show_candidate = "[{0[0]:.6f}, {0[1]:.6f}]".format
+
+    def __init__(self, kb: KnowledgeBase, eps: float):
+        self.read, self.eps = kb.interval, eps
+
+    def narrow(self, old: ProbInterval, candidate) -> ProbInterval | None:
+        lo, hi = max(old.lo, candidate[0]), min(old.hi, candidate[1])
+        if lo > hi + TOL:
+            return None
+        hi = max(lo, hi)
+        if lo - old.lo <= self.eps and old.hi - hi <= self.eps:
+            return old
+        return ProbInterval(lo, hi)
+
+    @staticmethod
+    def write(kb, pair, interval: ProbInterval) -> None:
+        old = kb.edges.get(pair)
+        kb.edges[pair] = Edge(interval, old.qual if old else None)
+
+    @staticmethod
+    def syllogism(kb, abc):
+        a, b, c = abc
+        inp = SyllogismInput(
+            kb.interval(a, b), kb.interval(b, a), kb.interval(b, c), kb.interval(c, b)
+        )
+        return (a, c), (syllogism_lower(inp), syllogism_upper(inp))
+
+    @staticmethod
+    def cycle(kb, seq):
+        fwd_pairs, bwd_pairs = _cycle_edges(seq)
+        new = bayes_cycle(
+            [kb.interval(*pair) for pair in fwd_pairs],
+            [kb.interval(*pair) for pair in bwd_pairs],
+            FULL,
+        )
+        return bwd_pairs[-1], (new.lo, new.hi)
+
+
+class _Labels:
+    """Qualitative mode: edges hold label ranges; their lattice is finite, so equality ends it."""
+
+    cycle_phase = "gbt"
+
+    def __init__(self, kb: KnowledgeBase):
+        self.read = kb.qual
+        self.show = self.show_candidate = kb.partition.name_of
+
+    @staticmethod
+    def narrow(old: QRange, candidate: QRange) -> QRange | None:
+        new = qualalg.meet(old, candidate)
+        return old if new == old else new
+
+    @staticmethod
+    def write(kb, pair, qual: QRange) -> None:
+        interval = kb.partition.semantics(qual)
+        old = kb.edges.get(pair)
+        if old is not None:
+            interval = old.interval.intersect(interval) or interval
+        kb.edges[pair] = Edge(interval, qual)
+
+    @staticmethod
+    def syllogism(kb, abc):
+        a, b, c = abc
+        q5 = eval_extended(
+            kb.partition, kb.qual(a, b), kb.qual(b, a), kb.qual(c, b), kb.qual(b, c)
+        )
+        return (a, c), q5
+
+    @staticmethod
+    def cycle(kb, seq):
+        return (seq[-1], seq[0]), gbt_qualitative(kb, seq)
+
+
 def saturate(
     kb: KnowledgeBase, max_cycle_len: int = 4, eps: float = 1e-9
 ) -> tuple[KnowledgeBase, list[TraceStep]]:
-    """Run syllogism sweeps then cycle passes to a fixpoint; returns a copy."""
+    """Run syllogism sweeps then cycle sweeps to a fixpoint; returns a copy.
+
+    Each phase sweeps its rule over every context (ordered node triples,
+    then the rotations of the simple cycles) until a sweep changes nothing;
+    the two phases alternate until neither does.
+    """
     out = kb.copy()
     trace: list[TraceStep] = []
-    table = gen_table_cached(kb.partition) if kb.mode == "qualitative" else None
-    for _ in range(10_000):
-        changed = _syllogism_phase(out, table, eps, trace)
-        changed |= _cycle_phase(out, table, max_cycle_len, eps, trace)
-        if not changed:
-            return out, trace
+    domain = _Labels(out) if kb.mode == "qualitative" else _Intervals(out, eps)
+    nodes = sorted(out.nodes)
+    cycles = simple_cycles(out.nodes, max_cycle_len)
+    phases = (
+        ("syllogism", domain.syllogism, lambda: itertools.permutations(nodes, 3)),
+        (domain.cycle_phase, domain.cycle,
+         lambda: itertools.chain.from_iterable(map(_cycle_rotations, cycles))),
+    )
+
+    def sweep(phase, rule, contexts) -> bool:
+        """The narrowing step: meet each rule candidate into its target edge."""
+        changed = False
+        for context in contexts():
+            target, candidate = rule(out, context)
+            old = domain.read(*target)
+            new = domain.narrow(old, candidate)
+            if new is None:
+                raise ContradictionError(
+                    f"{phase} ({', '.join(context)}) empties edge {target[0]} -> {target[1]}: "
+                    f"{domain.show(old)} meets {domain.show_candidate(candidate)}",
+                    trace[-20:],
+                )
+            if new is not old:
+                domain.write(out, target, new)
+                trace.append(TraceStep(phase, context, target, domain.show(old), domain.show(new)))
+                changed = True
+        return changed
+
+    # a list, not a generator, so that every round runs both phases
+    _until_stable(lambda: any([_until_stable(lambda: sweep(*phase)) for phase in phases]))
+    return out, trace
+
+
+def _until_stable(step) -> bool:
+    """Repeat `step` until it reports no change; True if any call changed something."""
+    for rounds in range(10_000):
+        if not step():
+            return rounds > 0
     raise RuntimeError("saturation failed to converge")
 
 
@@ -217,88 +340,11 @@ _table_cache: dict[tuple, SyllogismTable] = {}
 
 
 def gen_table_cached(p: Partition) -> SyllogismTable:
+    """`tables.gen_table` memoised per scale (saturation itself reads no table)."""
     key = (p.thresholds, p.labels)
     if key not in _table_cache:
         _table_cache[key] = tables.gen_table(p)
     return _table_cache[key]
-
-
-def _syllogism_phase(kb, table, eps, trace) -> bool:
-    any_change = False
-    for _ in range(10_000):
-        changed = False
-        for a, b, c in itertools.permutations(sorted(kb.nodes), 3):
-            if kb.mode == "qualitative":
-                changed |= _apply_syllogism_qual(kb, table, a, b, c, trace)
-            else:
-                changed |= _apply_syllogism_num(kb, a, b, c, eps, trace)
-        any_change |= changed
-        if not changed:
-            return any_change
-    raise RuntimeError("syllogism phase failed to converge")
-
-
-def _apply_syllogism_num(kb, a, b, c, eps, trace) -> bool:
-    inp = SyllogismInput(
-        b_given_a=kb.interval(a, b),
-        a_given_b=kb.interval(b, a),
-        c_given_b=kb.interval(b, c),
-        b_given_c=kb.interval(c, b),
-    )
-    lo = syllogism_lower(inp)
-    hi = syllogism_upper(inp)
-    old = kb.interval(a, c)
-    new_lo = max(old.lo, lo)
-    new_hi = min(old.hi, hi)
-    if new_lo > new_hi + 1e-9:
-        raise ContradictionError(
-            f"syllogism ({a}, {b}, {c}) empties edge {a} -> {c}: "
-            f"{old} meets [{lo:.6f}, {hi:.6f}]",
-            trace[-20:],
-        )
-    if new_lo - old.lo <= eps and old.hi - new_hi <= eps:
-        return False
-    new = ProbInterval(new_lo, max(new_lo, new_hi))
-    _set_numeric(kb, a, c, new)
-    trace.append(TraceStep("syllogism", (a, b, c), (a, c), str(old), str(new)))
-    return True
-
-
-def _apply_syllogism_qual(kb, table, a, b, c, trace) -> bool:
-    q5 = eval_extended(
-        table, kb.qual(a, b), kb.qual(b, a), kb.qual(c, b), kb.qual(b, c)
-    )
-    old = kb.qual(a, c)
-    new = qualalg.meet(old, q5)
-    if new is None:
-        raise ContradictionError(
-            f"syllogism ({a}, {b}, {c}) empties edge {a} -> {c}", trace[-20:]
-        )
-    if new == old:
-        return False
-    _set_qual(kb, a, c, new)
-    p = kb.partition
-    trace.append(
-        TraceStep("syllogism", (a, b, c), (a, c), p.name_of(old), p.name_of(new))
-    )
-    return True
-
-
-def _cycle_phase(kb, table, max_cycle_len, eps, trace) -> bool:
-    any_change = False
-    cycles = simple_cycles(kb.nodes, max_cycle_len)
-    for _ in range(10_000):
-        changed = False
-        for cycle in cycles:
-            for seq in _cycle_rotations(cycle):
-                if kb.mode == "qualitative":
-                    changed |= _apply_gbt(kb, seq, trace)
-                else:
-                    changed |= _apply_bayes(kb, seq, eps, trace)
-        any_change |= changed
-        if not changed:
-            return any_change
-    raise RuntimeError("cycle phase failed to converge")
 
 
 def _cycle_edges(seq: tuple[str, ...]):
@@ -311,22 +357,6 @@ def _cycle_edges(seq: tuple[str, ...]):
     forward = [(seq[(i + 1) % k], seq[i]) for i in range(k)]
     backward = [(seq[i], seq[(i + 1) % k]) for i in range(k)]
     return forward, backward
-
-
-def _apply_bayes(kb, seq, eps, trace) -> bool:
-    fwd_pairs, bwd_pairs = _cycle_edges(seq)
-    target = bwd_pairs[-1]  # (Ak, A1) carrying P(A1|Ak)
-    direct = kb.interval(*target)
-    new = bayes_cycle(
-        [kb.interval(*pair) for pair in fwd_pairs],
-        [kb.interval(*pair) for pair in bwd_pairs],
-        direct,
-    )
-    if new.lo - direct.lo <= eps and direct.hi - new.hi <= eps:
-        return False
-    _set_numeric(kb, *target, new)
-    trace.append(TraceStep("bayes", seq, target, str(direct), str(new)))
-    return True
 
 
 def gbt_qualitative(kb: KnowledgeBase, cycle: tuple[str, ...]) -> QRange:
@@ -353,33 +383,6 @@ def gbt_qualitative(kb: KnowledgeBase, cycle: tuple[str, ...]) -> QRange:
     if lo > hi:  # vacuous refinement; keep the old range
         return old
     return QRange(lo, hi)
-
-
-def _apply_gbt(kb, seq, trace) -> bool:
-    target = (seq[-1], seq[0])
-    old = kb.qual(*target)
-    new = gbt_qualitative(kb, seq)
-    if new == old:
-        return False
-    _set_qual(kb, *target, new)
-    p = kb.partition
-    trace.append(TraceStep("gbt", seq, target, p.name_of(old), p.name_of(new)))
-    return True
-
-
-def _set_numeric(kb, frm, to, interval: ProbInterval) -> None:
-    old = kb.edges.get((frm, to))
-    qual = old.qual if old else None
-    kb.edges[(frm, to)] = Edge(interval, qual)
-
-
-def _set_qual(kb, frm, to, qual: QRange) -> None:
-    interval = kb.partition.semantics(qual)
-    old = kb.edges.get((frm, to))
-    if old is not None:
-        met = old.interval.intersect(interval)
-        interval = met if met is not None else interval
-    kb.edges[(frm, to)] = Edge(interval, qual)
 
 
 # -- querying and export -------------------------------------------------------

@@ -14,6 +14,10 @@ such distribution exists the target is unconstrained and [0, 1] is returned.
 A seeded randomized search (rejection sampling plus multiplicative hill
 climbing on the simplex) provides an independent fallback path; the two are
 required to agree within twice the search resolution.
+
+`run_check` certifies the syllogism closed forms and the Adams rules
+against the LP; it backs the `check` subcommand, the only one that needs
+scipy.
 """
 
 from __future__ import annotations
@@ -24,6 +28,8 @@ from typing import Sequence
 import numpy as np
 from scipy.optimize import linprog
 
+from . import adams
+from .bounds import SyllogismInput, syllogism
 from .qualalg import ProbInterval
 
 Event = frozenset  # of atom indices
@@ -60,14 +66,6 @@ class OracleResult:
 
 def class_event(class_count: int, i: int) -> Event:
     return frozenset(a for a in range(2**class_count) if a >> i & 1)
-
-
-def event_and(a: Event, b: Event) -> Event:
-    return a & b
-
-
-def event_or(a: Event, b: Event) -> Event:
-    return a | b
 
 
 def merged_pair_intervals(
@@ -146,8 +144,8 @@ def _problem_events(problem: OracleProblem):
     return cons, (class_event(k, to), class_event(k, frm))
 
 
-def solve(problem: OracleProblem, resolution: float = 1e-6) -> OracleResult:
-    """LP path; accurate to solver precision, well below `resolution`."""
+def solve(problem: OracleProblem) -> OracleResult:
+    """LP path, accurate to solver precision."""
     cons, target = _problem_events(problem)
     return solve_events(problem.class_count, cons, target)
 
@@ -284,3 +282,91 @@ def random_search_events(
     hi, lo = found
     lo, hi = min(lo, hi), max(lo, hi)
     return OracleResult(ProbInterval(lo, hi), "ok")
+
+
+# -- certification of the closed forms -----------------------------------------
+
+
+def _random_interval(rng, precise: bool) -> ProbInterval:
+    if precise:
+        x = float(rng.uniform(0.05, 0.95))
+        return ProbInterval(x, x)
+    a, b = sorted(rng.uniform(0.0, 1.0, size=2))
+    return ProbInterval(float(a), float(b))
+
+
+def run_check(n: int, seed: int) -> dict:
+    """Soundness/tightness comparison against the LP oracle plus rule checks."""
+    rng = np.random.default_rng(seed)
+    report = {
+        "n": n,
+        "seed": seed,
+        "max_tight_gap": 0.0,
+        "max_soundness_violation": 0.0,
+        "tight_failures": 0,
+    }
+    for precise in (True, False):
+        for _ in range(n):
+            inp = SyllogismInput(*(_random_interval(rng, precise) for _ in range(4)))
+            ca, _ = syllogism(inp)
+            problem = OracleProblem(
+                3,
+                [
+                    (0, 1, inp.b_given_a),
+                    (1, 0, inp.a_given_b),
+                    (1, 2, inp.c_given_b),
+                    (2, 1, inp.b_given_c),
+                ],
+                (0, 2),
+            )
+            res = solve(problem)
+            if not res.ok:
+                continue
+            violation = max(ca.lo - res.interval.lo, res.interval.hi - ca.hi, 0.0)
+            report["max_soundness_violation"] = max(
+                report["max_soundness_violation"], round(violation, 9)
+            )
+            if precise:
+                gap = max(abs(ca.lo - res.interval.lo), abs(ca.hi - res.interval.hi))
+                report["max_tight_gap"] = max(report["max_tight_gap"], round(gap, 9))
+                if gap > 0.02:
+                    report["tight_failures"] += 1
+    if n > 0:
+        report["adams"] = {}
+        for name, bound, constraints, target in adams_oracle_problems(0.3):
+            res = solve_events(3, constraints, target)
+            report["adams"][name] = {
+                "bound": round(bound, 9),
+                "oracle_min": round(res.interval.lo, 9),
+                "sound": bound <= res.interval.lo + 1e-6,
+            }
+    return report
+
+
+def adams_oracle_problems(alpha: float):
+    """(name, bound, constraints, target) at the event level, one per rule."""
+    k = 3
+    a_ev = class_event(k, 0)
+    b_ev = class_event(k, 1)
+    c_ev = class_event(k, 2)
+    most = ProbInterval(1.0 - alpha, 1.0)
+    return [
+        (
+            "triangularity",
+            adams.triangularity_bound(alpha),
+            [(b_ev, a_ev, most), (c_ev, a_ev, most)],
+            (c_ev, a_ev & b_ev),
+        ),
+        (
+            "bayes_rule",
+            adams.bayes_rule_bound(alpha),
+            [(b_ev, a_ev, most), (c_ev, a_ev & b_ev, most)],
+            (c_ev, a_ev),
+        ),
+        (
+            "disjunction",
+            adams.disjunction_bound(alpha, alpha),
+            [(c_ev, a_ev, most), (c_ev, b_ev, most)],
+            (c_ev, a_ev | b_ev),
+        ),
+    ]

@@ -349,10 +349,6 @@ SCALE9_LABELS = (
 )
 
 
-def build_partition(thresholds: Sequence[float], labels: Sequence[str]) -> Partition:
-    return Partition(thresholds, labels)
-
-
 def scale5(alpha: float) -> Partition:
     """none / few / about-half / most / all with few = (0, alpha]."""
     if not (0 < alpha < 0.5):

@@ -1,11 +1,12 @@
-"""Qualitative syllogism tables: generation, extension, compaction, robustness.
+"""Qualitative syllogism: range evaluation, tables, compaction, robustness.
 
-The table maps every 4-tuple of elementary labels (Q1 = P(B|A), Q2 = P(A|B),
-Q3 = P(B|C), Q4 = P(C|B)) to the qualitative value of Q5 = P(C|A).  Each
-entry is computed numerically on the hull semantics of the labels and
-approximated once, at the very end; chaining pre-approximated sub-results
-instead loses too much precision.  Q6 = P(A|C) needs no table of its own:
-it is the Q5 entry of the role-swapped tuple.
+Q5 = P(C|A) follows from Q1 = P(B|A), Q2 = P(A|B), Q3 = P(B|C) and
+Q4 = P(C|B).  For label ranges it is computed numerically on the hull
+semantics of the ranges and approximated once, at the very end; chaining
+pre-approximated sub-results instead loses too much precision.  The table
+maps every 4-tuple of elementary labels to its Q5 through the same
+evaluation.  Q6 = P(A|C) needs no table of its own: it is the Q5 entry of
+the role-swapped tuple.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import io
 import itertools
 from dataclasses import dataclass
 
-from . import qualalg
 from .bounds import SyllogismInput, syllogism_lower, syllogism_upper
 from .qualalg import Partition, ProbInterval, QRange
 
@@ -31,49 +31,45 @@ class SyllogismTable:
         return self.entries[(q1, q2, q3, q4)]
 
 
-def tuple_bounds(p: Partition, key: Key) -> ProbInterval:
-    """Numeric P(C|A) bounds for one elementary 4-tuple."""
-    q1, q2, q3, q4 = key
+def _hull_bounds(p: Partition, r1: QRange, r2: QRange, r3: QRange, r4: QRange) -> ProbInterval:
+    """Numeric P(C|A) bounds on the hulls of the ranges Q1..Q4."""
     inp = SyllogismInput(
-        b_given_a=p.semantics(QRange(q1, q1)),
-        a_given_b=p.semantics(QRange(q2, q2)),
-        c_given_b=p.semantics(QRange(q4, q4)),
-        b_given_c=p.semantics(QRange(q3, q3)),
+        b_given_a=p.semantics(r1),
+        a_given_b=p.semantics(r2),
+        c_given_b=p.semantics(r4),
+        b_given_c=p.semantics(r3),
     )
     lo = syllogism_lower(inp)
     hi = syllogism_upper(inp)
     return ProbInterval(lo, max(lo, hi))
 
 
+def tuple_bounds(p: Partition, key: Key) -> ProbInterval:
+    """Numeric P(C|A) bounds for one elementary 4-tuple."""
+    return _hull_bounds(p, *(QRange(q, q) for q in key))
+
+
+def eval_extended(p: Partition, r1: QRange, r2: QRange, r3: QRange, r4: QRange) -> QRange:
+    """Q5 for label ranges: the closed forms on the ranges' hulls, approximated once.
+
+    This is the hull of the table cells in the ranges (the tests check it
+    on every 5-label range tuple).  A hull of the corner cells alone is
+    not: the crossing term of the upper bound peaks at an interior value
+    of P(B|A), which no corner cell sees.
+    """
+    return p.approximate(_hull_bounds(p, r1, r2, r3, r4))
+
+
 def gen_table(p: Partition) -> SyllogismTable:
-    m = p.n_labels
     entries: dict[Key, QRange] = {}
-    for key in itertools.product(range(m), repeat=4):
-        entries[key] = p.approximate(tuple_bounds(p, key))
+    for key in itertools.product(range(p.n_labels), repeat=4):
+        entries[key] = eval_extended(p, *(QRange(q, q) for q in key))
     return SyllogismTable(p, entries)
 
 
 def q6_of(table: SyllogismTable, q1: int, q2: int, q3: int, q4: int) -> QRange:
     """P(A|C) for the same tuple: look up the role-swapped key."""
     return table.lookup(q3, q4, q1, q2)
-
-
-def eval_extended(
-    table: SyllogismTable, r1: QRange, r2: QRange, r3: QRange, r4: QRange
-) -> QRange:
-    """Extend the table to non-elementary arguments via the corner hull."""
-    p = table.partition
-    for r in (r1, r2, r3, r4):
-        p.validate(r)
-    out: QRange | None = None
-    for c1 in {r1.low, r1.high}:
-        for c2 in {r2.low, r2.high}:
-            for c3 in {r3.low, r3.high}:
-                for c4 in {r4.low, r4.high}:
-                    cell = table.lookup(c1, c2, c3, c4)
-                    out = cell if out is None else qualalg.hull(out, cell)
-    assert out is not None
-    return out
 
 
 # -- compaction ---------------------------------------------------------------

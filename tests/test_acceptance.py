@@ -20,10 +20,10 @@ import numpy as np
 
 from linquant import adams, network, qualalg, tables
 from linquant.bounds import SyllogismInput, syllogism
-from linquant.cli import adams_oracle_problems
 from linquant.network import gbt_qualitative, parse_kb, saturate, simple_cycles
 from linquant.oracle import (
     OracleProblem,
+    adams_oracle_problems,
     class_event,
     random_search_events,
     solve,
@@ -98,9 +98,8 @@ def test_c01_worked_syllogism_instance():
 
 def test_c02_convex_hull_extension():
     p = scale7()
-    table = tables.gen_table(p)
     got = tables.eval_extended(
-        table,
+        p,
         p.range_of("most", "all"),
         p.range_of("all"),
         p.range_of("none", "all"),

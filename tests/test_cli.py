@@ -74,6 +74,34 @@ def test_propagate_contradiction_exit_code(tmp_path, capsys):
     assert "contradiction" in capsys.readouterr().err
 
 
+# the Bayes cycle c0 -> c1 -> c2 closes on an empty refinement of P(c0|c2)
+CYCLE_CLASH = SCALE7 + """\
+n c0 c1 0.732 0.753
+n c1 c0 0.283 0.309
+n c1 c2 0.414 0.454
+n c2 c1 0.323 0.347
+n c2 c3 0.575 0.620
+n c3 c2 0.504 0.518
+n c3 c0 0.730 0.761
+n c0 c3 0.275 0.321
+"""
+
+
+def test_propagate_cycle_contradiction(tmp_path, capsys):
+    kb = tmp_path / "cycle.kb"
+    kb.write_text(CYCLE_CLASH)
+    assert main(["propagate", str(kb), "--out", str(tmp_path / "run")]) == 1
+    assert capsys.readouterr().err.startswith("contradiction: bayes ")
+
+
+def test_query_cycle_contradiction(tmp_path, capsys):
+    kb = tmp_path / "cycle.kb"
+    kb.write_text(CYCLE_CLASH)
+    assert main(["query", str(kb), "c0", "c2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: bayes ") and len(err.splitlines()) == 1
+
+
 def test_query_subcommand(tmp_path, capsys):
     kb = tmp_path / "students.kb"
     kb.write_text(STUDENTS_NUMERIC)

@@ -1,5 +1,7 @@
 """Knowledge base ingestion, saturation, cycles, and querying."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from linquant.network import (
     saturate,
     simple_cycles,
 )
-from linquant.oracle import OracleProblem, solve
+from linquant.oracle import OracleProblem, class_event, solve, solve_events
 from linquant.qualalg import ProbInterval as I
 
 from conftest import STUDENTS_KB7, STUDENTS_NUMERIC, conditionals_of
@@ -190,6 +192,54 @@ class TestSaturateQualitative:
                 hull = satq.partition.semantics(satq.qual(f, t))
                 num = satn.interval(f, t)
                 assert hull.contains_interval(num, tol=1e-9)
+
+
+class TestQualitativeSoundness:
+    def test_crossing_term_reaches_the_lp_maximum(self, p7):
+        # corner cells of the four ranges cap P(c|a) at `most` (0.8); the LP
+        # maximum is 0.909, the crossing term at an interior P(b|a)
+        kb = KnowledgeBase(p7, "qualitative")
+        for line in ("q a b none all", "q b a most", "q c b few", "q b c few"):
+            ingest(kb, line)
+        sat, _ = saturate(kb)
+        assert sat.qual("a", "c") == p7.range_of("none", "al-all")
+        event = {name: class_event(3, i) for i, name in enumerate(kb.nodes)}
+        cons = [(event[t], event[f], e.interval) for (f, t), e in kb.edges.items()]
+        lp = solve_events(3, cons, (event["c"], event["a"]))
+        assert lp.interval.hi == pytest.approx(0.909, abs=1e-3)
+        assert p7.semantics(sat.qual("a", "c")).contains_interval(lp.interval)
+
+    @pytest.mark.parametrize("scale", ["p5", "p7", "p9"])
+    def test_contains_global_lp_range(self, scale, request):
+        # 5-class KBs whose ten statements label the conditionals of one
+        # random joint distribution, so every KB is consistent
+        p = request.getfixturevalue(scale)
+        rng = np.random.default_rng(p.n_labels)
+        names = ["a", "b", "c", "d", "e"]
+        event = {name: class_event(5, i) for i, name in enumerate(names)}
+        pairs = [(f, t) for f in range(5) for t in range(5) if f != t]
+        for _ in range(10):
+            pcond = conditionals_of(rng.dirichlet(np.full(32, 0.3)), 5)
+            kb = KnowledgeBase(p, "qualitative")
+            for name in names:
+                kb.add_node(name)
+            for i in rng.permutation(len(pairs))[:10]:
+                f, t = pairs[i]
+                v = pcond(t, f)
+                w = float(rng.choice([0.0, 0.1]))
+                q = p.approximate(I(max(0.0, v - w), min(1.0, v + w)))
+                ingest(kb, f"q {names[f]} {names[t]} {p.labels[q.low]} {p.labels[q.high]}")
+            cons = [(event[t], event[f], e.interval) for (f, t), e in kb.edges.items()]
+            sat, _ = saturate(kb)
+            for f, t in itertools.permutations(names, 2):
+                got = sat.qual(f, t)
+                if got == p.full_range():
+                    continue
+                lp = solve_events(5, cons, (event[t], event[f]))
+                assert lp.ok
+                assert p.semantics(got).contains_interval(lp.interval, tol=1e-7), (
+                    f, t, p.name_of(got), lp.interval,
+                )
 
 
 class TestGBT:

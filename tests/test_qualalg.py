@@ -15,7 +15,6 @@ from linquant.qualalg import (
     ProbInterval,
     QRange,
     WrongLabelCount,
-    build_partition,
     certainty_leq,
     hull,
     meet,
@@ -32,24 +31,24 @@ class TestBuildPartition:
         assert p7.labels[0] == "none" and p7.labels[-1] == "all"
 
     def test_five_label(self):
-        p = build_partition((0.3, 0.7), ("none", "few", "half", "most", "all"))
+        p = Partition((0.3, 0.7), ("none", "few", "half", "most", "all"))
         assert p.n_labels == 5
 
     def test_non_increasing(self):
         with pytest.raises(NonIncreasingThresholds):
-            build_partition((0.4, 0.3), ("a", "b", "c", "d", "e"))
+            Partition((0.4, 0.3), ("a", "b", "c", "d", "e"))
 
     def test_asymmetric(self):
         with pytest.raises(AsymmetricThresholds):
-            build_partition((0.2, 0.5, 0.7), ("a", "b", "c", "d", "e", "f"))
+            Partition((0.2, 0.5, 0.7), ("a", "b", "c", "d", "e", "f"))
 
     def test_duplicate_labels(self):
         with pytest.raises(DuplicateLabels):
-            build_partition((0.3, 0.7), ("none", "few", "few", "most", "all"))
+            Partition((0.3, 0.7), ("none", "few", "few", "most", "all"))
 
     def test_wrong_count(self):
         with pytest.raises(WrongLabelCount):
-            build_partition((0.3, 0.7), ("none", "few", "all"))
+            Partition((0.3, 0.7), ("none", "few", "all"))
 
 
 class TestSemantics:

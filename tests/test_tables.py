@@ -1,5 +1,7 @@
 """Syllogism table generation, extension, compaction, robustness analysis."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -71,7 +73,7 @@ class TestQ6:
 class TestEvalExtended:
     def test_worked_hull(self, p7, t7):
         got = eval_extended(
-            t7,
+            p7,
             p7.range_of("most", "all"),
             p7.range_of("all"),
             p7.range_of("none", "all"),
@@ -82,7 +84,7 @@ class TestEvalExtended:
     def test_elementary_matches_table(self, p5, t5):
         for key in t5.entries:
             ranges = [QRange(i, i) for i in key]
-            assert eval_extended(t5, *ranges) == t5.entries[key]
+            assert eval_extended(p5, *ranges) == t5.entries[key]
 
     def test_monotone_under_widening(self, p5, t5):
         # every elementary tuple, every one-step widening of each argument
@@ -96,7 +98,7 @@ class TestEvalExtended:
                         continue
                     ranges = [QRange(i, i) for i in key]
                     ranges[pos] = QRange(lo, hi)
-                    widened = eval_extended(t5, *ranges)
+                    widened = eval_extended(p5, *ranges)
                     assert qualalg.hull(widened, base) == widened
 
     def test_monotone_on_random_range_tuples(self, p5, t5):
@@ -108,9 +110,59 @@ class TestEvalExtended:
                 QRange(rng.integers(0, q.low + 1), rng.integers(q.high, p5.top + 1))
                 for q in inner
             ]
-            got_in = eval_extended(t5, *inner)
-            got_out = eval_extended(t5, *outer)
+            got_in = eval_extended(p5, *inner)
+            got_out = eval_extended(p5, *outer)
             assert qualalg.hull(got_out, got_in) == got_out
+
+
+def hull_of_cells(table, ranges):
+    """The hull of every table cell whose labels lie in the four ranges."""
+    cells = [
+        table.lookup(*key)
+        for key in itertools.product(*(range(r.low, r.high + 1) for r in ranges))
+    ]
+    return QRange(min(c.low for c in cells), max(c.high for c in cells))
+
+
+class TestEvalExtendedIsCellHull:
+    """eval_extended equals the hull of the table cells in its ranges."""
+
+    def test_every_range_tuple_five_labels(self, p5, t5):
+        # min/max of the cell bounds over every range along each axis in turn,
+        # so that all 50,625 hulls come from one pass over the table
+        ranges = list(p5.all_ranges())
+        m = p5.n_labels
+        low = np.empty((m,) * 4, dtype=int)
+        high = np.empty((m,) * 4, dtype=int)
+        for key, q5 in t5.entries.items():
+            low[key], high[key] = q5.low, q5.high
+        for axis in range(4):
+            low = np.stack(
+                [low.take(range(r.low, r.high + 1), axis).min(axis) for r in ranges], axis
+            )
+            high = np.stack(
+                [high.take(range(r.low, r.high + 1), axis).max(axis) for r in ranges], axis
+            )
+        for idx in itertools.product(range(len(ranges)), repeat=4):
+            got = eval_extended(p5, *(ranges[i] for i in idx))
+            assert got == QRange(int(low[idx]), int(high[idx])), idx
+
+    @pytest.mark.parametrize("scale", ["p7", "p9"])
+    def test_sampled_range_tuples(self, scale, request):
+        p = request.getfixturevalue(scale)
+        table = gen_table(p)
+        ranges = list(p.all_ranges())
+        rng = np.random.default_rng(p.n_labels)
+        for _ in range(4000):
+            picked = [ranges[i] for i in rng.integers(len(ranges), size=4)]
+            assert eval_extended(p, *picked) == hull_of_cells(table, picked), picked
+
+    def test_crossing_term_inside_the_range(self, p7, t7):
+        # the ROADMAP case: the upper bound peaks at an interior P(B|A), so the
+        # corner cells alone give at most `most` where the cells reach al-all
+        ranges = (p7.full_range(), p7.range_of("most"), p7.range_of("few"), p7.range_of("few"))
+        got = eval_extended(p7, *ranges)
+        assert got == p7.range_of("none", "al-all") == hull_of_cells(t7, ranges)
 
 
 class TestCompact:
