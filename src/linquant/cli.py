@@ -58,11 +58,10 @@ def _query_json(kb, pairs) -> str:
 def cmd_propagate(args) -> int:
     try:
         kb = network.parse_kb(_read(args.kb), mode=args.mode)
+        before = kb.copy()
+        saturated, trace = network.saturate(kb, args.max_cycle, args.eps)
     except qualalg.ConfigError as exc:
         return _fail(str(exc))
-    before = kb.copy()
-    try:
-        saturated, trace = network.saturate(kb, args.max_cycle, args.eps)
     except network.ContradictionError as exc:
         print(f"contradiction: {exc}", file=sys.stderr)
         for step in exc.chain:
@@ -137,6 +136,17 @@ def cmd_check(args) -> int:
     return 0
 
 
+def _eps(text: str) -> float:
+    """`--eps`: a negative or NaN threshold never converges, an infinite one derives nothing."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = float("nan")
+    if not 0.0 <= value < float("inf"):
+        raise argparse.ArgumentTypeError(f"must be a finite non-negative number, got {text!r}")
+    return value
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="linquant",
@@ -153,7 +163,7 @@ def main(argv=None) -> int:
     p_prop.add_argument("kb", help="knowledge base file")
     p_prop.add_argument("--mode", choices=("numeric", "qualitative"), default="numeric")
     p_prop.add_argument("--max-cycle", type=int, default=4)
-    p_prop.add_argument("--eps", type=float, default=1e-9)
+    p_prop.add_argument("--eps", type=_eps, default=1e-9)
     p_prop.add_argument("--out", default=None)
     p_prop.set_defaults(func=cmd_propagate)
 
@@ -163,7 +173,7 @@ def main(argv=None) -> int:
     p_query.add_argument("to")
     p_query.add_argument("--mode", choices=("numeric", "qualitative"), default="numeric")
     p_query.add_argument("--max-cycle", type=int, default=4)
-    p_query.add_argument("--eps", type=float, default=1e-9)
+    p_query.add_argument("--eps", type=_eps, default=1e-9)
     p_query.add_argument("--out", default=None)
     p_query.set_defaults(func=cmd_query)
 

@@ -169,9 +169,9 @@ def parse_kb(text: str, mode: str = "numeric") -> KnowledgeBase:
             continue
         try:
             ingest(kb, line)
+        except ContradictionError as exc:
+            raise ContradictionError(f"line {no}: {exc}") from exc
         except (ValueError, KeyError) as exc:
-            if isinstance(exc, ContradictionError):
-                raise
             raise qualalg.ConfigError(str(exc), no) from exc
     return kb
 
@@ -364,7 +364,8 @@ def gbt_qualitative(kb: KnowledgeBase, cycle: tuple[str, ...]) -> QRange:
 
     For the cycle A1..Ak this bounds P(A1|Ak) by
     qdiv(qmul(P(Ak|A1), P(A1|A2), .., P(Ak-1|Ak)), qmul(P(A2|A1), .., P(Ak|Ak-1)))
-    and merges with the current range via the certainty order.
+    and merges with the current range via the certainty order.  A
+    denominator that is identically `none` refines nothing.
     """
     p = kb.partition
     fwd_pairs, bwd_pairs = _cycle_edges(cycle)
@@ -376,8 +377,10 @@ def gbt_qualitative(kb: KnowledgeBase, cycle: tuple[str, ...]) -> QRange:
         q = kb.qual(*pair)
         den = q if den is None else p.qmul(den, q)
     assert den is not None
-    ratio = p.qdiv(num, den)
     old = kb.qual(*bwd_pairs[-1])
+    if den.high == 0:  # a zero denominator drops the refinement, as in bayes_cycle
+        return old
+    ratio = p.qdiv(num, den)
     lo = max(old.low, ratio.low)
     hi = min(old.high, ratio.high)
     if lo > hi:  # vacuous refinement; keep the old range

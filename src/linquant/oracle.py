@@ -1,7 +1,9 @@
 """Exact attainable range of a conditional probability under interval constraints.
 
 Ground truth for the bound formulas: over all joint distributions on the
-atoms of up to four base classes, what is the min/max of P(to|from)?
+2**k atoms of k base classes, what is the min/max of P(to|from)?
+`solve_events` takes events over any class count; `OracleProblem`, the
+class-pair form that `solve` takes, caps k at 4.
 
 Each constraint P(u|v) in [l, h] is linear once multiplied through by the
 conditioning mass:  l.P(v) <= P(u^v) <= h.P(v).  This makes the constraint
@@ -10,10 +12,8 @@ formulas.  The fractional objective P(to^from)/P(from) is handled by the
 usual normalisation: optimise over y = x / P(from) with sum(y over from) = 1,
 which sweeps exactly the distributions giving `from` positive mass.  If no
 such distribution exists the target is unconstrained and [0, 1] is returned.
-
-A seeded randomized search (rejection sampling plus multiplicative hill
-climbing on the simplex) provides an independent fallback path; the two are
-required to agree within twice the search resolution.
+The LP is the only path: there is no fallback, and an answer is as exact as
+the HiGHS solver.
 
 `run_check` certifies the syllogism closed forms and the Adams rules
 against the LP; it backs the `check` subcommand, the only one that needs
@@ -134,154 +134,15 @@ def solve_events(
     return OracleResult(ProbInterval(lo, hi), "ok")
 
 
-def _problem_events(problem: OracleProblem):
+def solve(problem: OracleProblem) -> OracleResult:
+    """`solve_events` on the class events of a class-pair problem."""
     k = problem.class_count
     cons = [
         (class_event(k, to), class_event(k, frm), ival)
         for frm, to, ival in problem.constraints
     ]
     frm, to = problem.target
-    return cons, (class_event(k, to), class_event(k, frm))
-
-
-def solve(problem: OracleProblem) -> OracleResult:
-    """LP path, accurate to solver precision."""
-    cons, target = _problem_events(problem)
-    return solve_events(problem.class_count, cons, target)
-
-
-# -- randomized fallback -------------------------------------------------------
-
-
-def _violation(x: np.ndarray, cons) -> float:
-    """Total conditional-probability violation, relative to conditioning mass.
-
-    Relative scaling matters: absolute slack l*P(v) - P(u^v) vanishes as
-    P(v) -> 0 even when the conditional is badly violated, which would let
-    a search walk fake feasibility by draining conditioning classes.
-    """
-    total = 0.0
-    for u_mask, v_mask, lo, hi in cons:
-        pv = float(x[v_mask].sum())
-        if pv > 0:
-            ratio = float(x[u_mask & v_mask].sum()) / pv
-            total += max(0.0, lo - ratio) + max(0.0, ratio - hi)
-    return total
-
-
-def random_search(
-    problem: OracleProblem,
-    resolution: float = 0.01,
-    seed: int | None = None,
-    samples: int = 4000,
-    refine_steps: int = 900,
-) -> OracleResult:
-    cons, target = _problem_events(problem)
-    return random_search_events(
-        problem.class_count, cons, target, resolution, seed, samples, refine_steps
-    )
-
-
-def random_search_events(
-    class_count: int,
-    constraints: Sequence[tuple[Event, Event, ProbInterval]],
-    target: tuple[Event, Event],
-    resolution: float = 0.01,
-    seed: int | None = None,
-    samples: int = 4000,
-    refine_steps: int = 900,
-) -> OracleResult:
-    """Dense random sampling with local refinement on the simplex.
-
-    Proposals alternate multiplicative jitter with pairwise mass transfers;
-    the latter reach the polytope vertices where conditional-probability
-    optima live.  Deterministic for a fixed seed.
-    """
-    if merged_pair_intervals(constraints) is None:
-        return OracleResult(ProbInterval(0.0, 1.0), "inconsistent")
-    rng = np.random.default_rng(seed)
-    n = 2**class_count
-    cons = []
-    for u, v, ival in constraints:
-        u_mask = np.zeros(n, dtype=bool)
-        v_mask = np.zeros(n, dtype=bool)
-        u_mask[list(u)] = True
-        v_mask[list(v)] = True
-        cons.append((u_mask, v_mask, ival.lo, ival.hi))
-    t_u, t_v = target
-    tv_mask = np.zeros(n, dtype=bool)
-    tv_mask[list(t_v)] = True
-    tuv_mask = np.zeros(n, dtype=bool)
-    tuv_mask[list(t_u & t_v)] = True
-
-    def objective(x: np.ndarray) -> float | None:
-        pv = float(x[tv_mask].sum())
-        if pv < 1e-12:
-            return None
-        return float(x[tuv_mask].sum()) / pv
-
-    def refine(x0: np.ndarray, sign: float):
-        """Hill climb on objective minus an annealed infeasibility penalty.
-
-        A soft penalty early on lets the walk cross mildly infeasible
-        territory; the weight ramps up so the endpoint is feasible.
-        """
-        x = x0.copy()
-        cur_pen = _violation(x, cons)
-        cur_obj = objective(x)
-        for step in range(refine_steps):
-            weight = 10.0 * (1e7 / 10.0) ** (step / max(1, refine_steps - 1))
-            if step % 2 == 0:  # pair transfer: reaches polytope vertices
-                frac = rng.uniform(0.05, 1.0)
-                i, j = rng.integers(0, n, size=2)
-                if i == j or x[i] <= 0:
-                    continue
-                cand = x.copy()
-                moved = frac * cand[i]
-                cand[i] -= moved
-                cand[j] += moved
-            else:
-                sigma = 0.6 * (0.01 / 0.6) ** (step / max(1, refine_steps - 1))
-                cand = x * np.exp(sigma * rng.standard_normal(n))
-                cand /= cand.sum()
-            pen = _violation(cand, cons)
-            obj = objective(cand)
-            if obj is None:
-                continue
-            cur_score = sign * cur_obj - weight * cur_pen
-            if sign * obj - weight * pen > cur_score + 1e-12:
-                x, cur_pen, cur_obj = cand, pen, obj
-        return x, cur_pen, cur_obj
-
-    pts = rng.dirichlet(np.ones(n), size=samples)
-    found = []
-    for sign in (1.0, -1.0):
-        scored = []
-        for x in pts:
-            obj = objective(x)
-            if obj is None:
-                continue
-            scored.append((_violation(x, cons), -sign * obj, x))
-        if not scored:
-            return OracleResult(ProbInterval(0.0, 1.0), "unconstrained")
-        scored.sort(key=lambda t: (t[0], t[1]))
-        best_val = None
-        best_point = None
-        for x0 in [s[2] for s in scored[:10]]:
-            x, pen, obj = refine(x0, sign)
-            if pen <= 1e-7 and obj is not None:
-                if best_val is None or sign * obj > sign * best_val:
-                    best_val, best_point = obj, x
-        if best_point is not None:  # one restart from the incumbent
-            x, pen, obj = refine(best_point, sign)
-            if pen <= 1e-7 and obj is not None and sign * obj > sign * best_val:
-                best_val = obj
-        if best_val is None:
-            return OracleResult(ProbInterval(0.0, 1.0), "unconstrained")
-        found.append(best_val)
-    hi, lo = found
-    lo, hi = min(lo, hi), max(lo, hi)
-    return OracleResult(ProbInterval(lo, hi), "ok")
+    return solve_events(k, cons, (class_event(k, to), class_event(k, frm)))
 
 
 # -- certification of the closed forms -----------------------------------------

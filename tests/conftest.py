@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from linquant.qualalg import ProbInterval, scale5, scale7, scale9
 
@@ -104,3 +105,43 @@ def conditionals_of(masses: np.ndarray, class_count: int):
         return num / den
 
     return pcond
+
+
+def class_masks(class_count: int) -> list[np.ndarray]:
+    """Membership of each atom in each class: atom a lies in class i iff bit i is set."""
+    atoms = np.arange(2**class_count)
+    return [(atoms >> i & 1).astype(bool) for i in range(class_count)]
+
+
+def certified_range(constraints, target) -> tuple[float, float]:
+    """Min and max of P(u|v), each proved optimal by a primal-dual certificate.
+
+    `constraints` holds (u, v, interval) for P(u|v) in the interval and
+    `target` is (u, v), all events as boolean masks over the atoms.  The LP
+    is written here, apart from the oracle: over atom masses x >= 0 scaled
+    so that x.v = 1 for the target's v, each constraint becomes the rows
+    l.x.v - x.(u^v) <= 0 and x.(u^v) - h.x.v <= 0.  For each bound, HiGHS
+    returns x and the marginals y of the rows and y_eq of the scaling.  The
+    checks, all to 1e-9, are primal feasibility, dual feasibility (y <= 0,
+    reduced costs c - A'y - v.y_eq >= 0) and a zero duality gap c.x = y_eq;
+    by weak duality they prove x optimal, whatever the solver reports.
+    """
+    t_u, t_v = (np.asarray(m, dtype=float) for m in target)
+    rows = []
+    for u, v, ival in constraints:
+        u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
+        rows += [ival.lo * v - u * v, u * v - ival.hi * v]
+    a_ub = np.array(rows).reshape(-1, t_v.size)
+    out = []
+    for sign in (1.0, -1.0):
+        c = sign * t_u * t_v
+        res = linprog(c, A_ub=a_ub, b_ub=np.zeros(len(a_ub)), A_eq=t_v[None, :],
+                      b_eq=[1.0], bounds=(0.0, None), method="highs")
+        assert res.status == 0, res.message
+        x, y, y_eq = res.x, res.ineqlin.marginals, res.eqlin.marginals[0]
+        assert (a_ub @ x <= 1e-9).all() and abs(t_v @ x - 1.0) <= 1e-9 and (x >= 0).all()
+        assert (y <= 1e-9).all()
+        assert (c - a_ub.T @ y - t_v * y_eq >= -1e-9).all()
+        assert abs(c @ x - y_eq) <= 1e-9
+        out.append(sign * (c @ x))
+    return out[0], out[1]

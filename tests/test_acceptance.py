@@ -25,7 +25,6 @@ from linquant.oracle import (
     OracleProblem,
     adams_oracle_problems,
     class_event,
-    random_search_events,
     solve,
     solve_events,
 )
@@ -37,6 +36,7 @@ from conftest import (
     STUDENTS_KB9,
     STUDENTS_NUMERIC,
     STUDENTS_SATURATED,
+    certified_range,
     random_subinterval,
 )
 
@@ -322,15 +322,21 @@ def test_c10_adams_bounds():
     if abs(dis - 0.4) > 1e-12:
         failures.append(f"disjunction = {dis}")
     gaps = {}
+
+    def mask(event):
+        return np.isin(np.arange(8), sorted(event))
+
     for name, bound, constraints, target in adams_oracle_problems(alpha):
         lp = solve_events(3, constraints, target)
-        search = random_search_events(3, constraints, target, seed=99)
+        certified_lo, _ = certified_range(
+            [(mask(u), mask(v), ival) for u, v, ival in constraints], tuple(map(mask, target))
+        )
         if bound > lp.interval.lo + 1e-6:
             failures.append(f"{name} bound {bound} above oracle min {lp.interval.lo}")
-        if abs(search.interval.lo - lp.interval.lo) > 0.02:
+        if abs(certified_lo - lp.interval.lo) > 1e-7:
             failures.append(
-                f"{name} search min {search.interval.lo:.4f} disagrees with LP"
-                f" {lp.interval.lo:.4f}"
+                f"{name} oracle min {lp.interval.lo:.9f} differs from the certified"
+                f" minimum {certified_lo:.9f}"
             )
         gaps[name] = lp.interval.lo - bound
         if name == "disjunction":

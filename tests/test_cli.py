@@ -74,6 +74,26 @@ def test_propagate_contradiction_exit_code(tmp_path, capsys):
     assert "contradiction" in capsys.readouterr().err
 
 
+def test_propagate_contradictory_statements(tmp_path, capsys):
+    kb = tmp_path / "bad.kb"
+    kb.write_text(SCALE7 + "n a b 0 0.2\nn a b 0.5 1\n")
+    assert main(["propagate", str(kb), "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("contradiction: line 4: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["propagate", "query"])
+@pytest.mark.parametrize("eps", ["-1", "nan", "inf", "x"])
+def test_bad_eps_is_a_usage_error(tmp_path, capsys, command, eps):
+    kb = tmp_path / "students.kb"
+    kb.write_text(STUDENTS_NUMERIC)
+    nodes = ["single", "student"] if command == "query" else []
+    with pytest.raises(SystemExit) as exc:
+        main([command, str(kb), *nodes, "--eps", eps])
+    assert exc.value.code == 2
+    assert "argument --eps: must be a finite non-negative number" in capsys.readouterr().err
+
+
 # the Bayes cycle c0 -> c1 -> c2 closes on an empty refinement of P(c0|c2)
 CYCLE_CLASH = SCALE7 + """\
 n c0 c1 0.732 0.753

@@ -194,6 +194,22 @@ class TestSaturateQualitative:
                 assert hull.contains_interval(num, tol=1e-9)
 
 
+def assert_contains_lp_ranges(kb: KnowledgeBase, sat: KnowledgeBase) -> None:
+    """Every informative saturated label hull contains the global LP range."""
+    k = len(kb.nodes)
+    event = {name: class_event(k, i) for i, name in enumerate(kb.nodes)}
+    cons = [(event[t], event[f], e.interval) for (f, t), e in kb.edges.items()]
+    for f, t in itertools.permutations(kb.nodes, 2):
+        got = sat.qual(f, t)
+        if got == kb.partition.full_range():
+            continue
+        lp = solve_events(k, cons, (event[t], event[f]))
+        assert lp.ok
+        assert kb.partition.semantics(got).contains_interval(lp.interval, tol=1e-7), (
+            f, t, kb.partition.name_of(got), lp.interval,
+        )
+
+
 class TestQualitativeSoundness:
     def test_crossing_term_reaches_the_lp_maximum(self, p7):
         # corner cells of the four ranges cap P(c|a) at `most` (0.8); the LP
@@ -216,7 +232,6 @@ class TestQualitativeSoundness:
         p = request.getfixturevalue(scale)
         rng = np.random.default_rng(p.n_labels)
         names = ["a", "b", "c", "d", "e"]
-        event = {name: class_event(5, i) for i, name in enumerate(names)}
         pairs = [(f, t) for f in range(5) for t in range(5) if f != t]
         for _ in range(10):
             pcond = conditionals_of(rng.dirichlet(np.full(32, 0.3)), 5)
@@ -229,17 +244,18 @@ class TestQualitativeSoundness:
                 w = float(rng.choice([0.0, 0.1]))
                 q = p.approximate(I(max(0.0, v - w), min(1.0, v + w)))
                 ingest(kb, f"q {names[f]} {names[t]} {p.labels[q.low]} {p.labels[q.high]}")
-            cons = [(event[t], event[f], e.interval) for (f, t), e in kb.edges.items()]
             sat, _ = saturate(kb)
-            for f, t in itertools.permutations(names, 2):
-                got = sat.qual(f, t)
-                if got == p.full_range():
-                    continue
-                lp = solve_events(5, cons, (event[t], event[f]))
-                assert lp.ok
-                assert p.semantics(got).contains_interval(lp.interval, tol=1e-7), (
-                    f, t, p.name_of(got), lp.interval,
-                )
+            assert_contains_lp_ranges(kb, sat)
+
+    def test_zero_denominator_cycle_refines_nothing(self, p7):
+        # every cycle through a -> b divides by P(b|a) = none; the LP leaves
+        # P(a|c) and P(c|b) in [0, 1], so no cycle may derive `all` for them
+        kb = KnowledgeBase(p7, "qualitative")
+        ingest(kb, "q a b none")
+        kb.add_node("c")
+        sat, _ = saturate(kb)
+        assert sat.qual("c", "a") == sat.qual("b", "c") == p7.full_range()
+        assert_contains_lp_ranges(kb, sat)
 
 
 class TestGBT:

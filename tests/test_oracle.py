@@ -1,33 +1,45 @@
-"""LP oracle and its randomized-search fallback."""
+"""LP oracle; its answers are checked against primal-dual optimality certificates."""
 
 import numpy as np
 import pytest
 
-from linquant.oracle import (
-    OracleProblem,
-    class_event,
-    random_search,
-    solve,
-    solve_events,
-)
+from linquant.oracle import OracleProblem, class_event, solve, solve_events
 from linquant.qualalg import ProbInterval as I
 
-from conftest import conditionals_of
+from conftest import certified_range, class_masks, conditionals_of
 
 
-def random_problem(rng: np.random.Generator, trial: int) -> OracleProblem:
-    """Feasible by construction: widen the conditionals of a sampled distribution."""
-    k = int(rng.integers(2, 5))
+def sampled_constraints(rng: np.random.Generator, k: int, count: int):
+    """Feasible by construction: widen the conditionals of a sampled distribution.
+
+    Returns `count` class-pair constraints (from, to, interval), a target
+    pair and the distribution's atom masses.
+    """
     masses = rng.dirichlet(np.ones(2**k))
     pcond = conditionals_of(masses, k)
     pairs = [(f, t) for f in range(k) for t in range(k) if f != t]
     rng.shuffle(pairs)
     cons = []
-    for f, t in pairs[:4]:
+    for f, t in pairs[:count]:
         v = pcond(t, f)
         w1, w2 = rng.uniform(0.05, 0.25, 2)
         cons.append((f, t, I(max(0.0, v - w1), min(1.0, v + w2))))
-    return OracleProblem(k, cons, pairs[-1]), masses
+    return cons, pairs[-1], masses
+
+
+def random_problem(rng: np.random.Generator, trial: int) -> OracleProblem:
+    k = int(rng.integers(2, 5))
+    cons, target, masses = sampled_constraints(rng, k, 4)
+    return OracleProblem(k, cons, target), masses
+
+
+def certified(k: int, cons, target) -> tuple[float, float]:
+    """`certified_range` of a class-pair problem, its events built from class bitmasks."""
+    masks = class_masks(k)
+    frm, to = target
+    return certified_range(
+        [(masks[t], masks[f], ival) for f, t, ival in cons], (masks[to], masks[frm])
+    )
 
 
 def test_unconstrained_target_is_full():
@@ -118,24 +130,30 @@ def test_forced_zero_mass_is_unconstrained():
     assert (res.interval.lo, res.interval.hi) == (0.0, 1.0)
 
 
-def test_search_agrees_with_lp():
+def test_lp_answers_are_certified():
     rng = np.random.default_rng(14)
-    resolution = 0.01
     for trial in range(50):
         problem, _ = random_problem(rng, trial)
         lp = solve(problem)
-        rs = random_search(problem, resolution=resolution, seed=trial)
-        assert lp.ok and rs.ok
-        assert abs(lp.interval.lo - rs.interval.lo) <= 2 * resolution
-        assert abs(lp.interval.hi - rs.interval.hi) <= 2 * resolution
+        lo, hi = certified(problem.class_count, problem.constraints, problem.target)
+        assert lp.ok
+        assert abs(lp.interval.lo - lo) <= 1e-7 and abs(lp.interval.hi - hi) <= 1e-7
 
 
-def test_search_deterministic():
-    rng = np.random.default_rng(15)
-    problem, _ = random_problem(rng, 0)
-    a = random_search(problem, seed=42)
-    b = random_search(problem, seed=42)
-    assert a.interval == b.interval
+@pytest.mark.parametrize("k", [5, 6])
+def test_certified_beyond_four_classes(k):
+    # OracleProblem stops at four classes; solve_events takes events over any.
+    # 4k widened conditionals, so that most range ends lie inside (0, 1)
+    rng = np.random.default_rng(k)
+    event = [class_event(k, i) for i in range(k)]
+    for _ in range(3):
+        cons, (frm, to), masses = sampled_constraints(rng, k, 4 * k)
+        res = solve_events(
+            k, [(event[t], event[f], ival) for f, t, ival in cons], (event[to], event[frm])
+        )
+        lo, hi = certified(k, cons, (frm, to))
+        assert res.ok and res.interval.contains(conditionals_of(masses, k)(to, frm), tol=1e-7)
+        assert abs(res.interval.lo - lo) <= 1e-7 and abs(res.interval.hi - hi) <= 1e-7
 
 
 def test_class_count_validation():
