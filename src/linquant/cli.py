@@ -1,4 +1,11 @@
-"""Command-line front end: tables, propagate, query, robustness, check."""
+"""Command-line front end: tables, propagate, query, robustness, check.
+
+`main` is the one error boundary.  An unreadable or malformed input ends in
+one `error:` line on stderr and exit status 1, a contradiction in one
+`contradiction:` line followed by its chain, and a bad command line in
+argparse's usage error with status 2.  Any other exception is a bug and
+keeps its traceback.
+"""
 
 from __future__ import annotations
 
@@ -8,6 +15,10 @@ import sys
 from pathlib import Path
 
 from . import network, qualalg, tables
+
+_INPUT_ERRORS = (
+    OSError, UnicodeDecodeError, qualalg.ConfigError, qualalg.PartitionError, network.UnknownNode
+)
 
 
 def _read(path: str) -> str:
@@ -21,19 +32,8 @@ def _write(path: str | None, text: str) -> None:
         Path(path).write_text(text, encoding="utf-8")
 
 
-def _fail(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return 1
-
-
 def cmd_tables(args) -> int:
-    try:
-        partition = qualalg.parse_partition_config(_read(args.config))
-    except qualalg.ConfigError as exc:
-        return _fail(str(exc))
-    except qualalg.PartitionError as exc:
-        return _fail(f"invalid partition: {exc}")
-    table = tables.gen_table(partition)
+    table = tables.gen_table(qualalg.parse_partition_config(_read(args.config)))
     out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)
     (out / "table.csv").write_text(tables.table_to_csv(table), encoding="utf-8")
@@ -56,18 +56,8 @@ def _query_json(kb, pairs) -> str:
 
 
 def cmd_propagate(args) -> int:
-    try:
-        kb = network.parse_kb(_read(args.kb), mode=args.mode)
-        before = kb.copy()
-        saturated, trace = network.saturate(kb, args.max_cycle, args.eps)
-    except qualalg.ConfigError as exc:
-        return _fail(str(exc))
-    except network.ContradictionError as exc:
-        print(f"contradiction: {exc}", file=sys.stderr)
-        for step in exc.chain:
-            print(f"  {step.phase} {step.context}: {step.edge} "
-                  f"{step.before} -> {step.after}", file=sys.stderr)
-        return 1
+    kb = network.parse_kb(_read(args.kb), mode=args.mode)
+    saturated, _ = network.saturate(kb)
     out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)
     (out / "saturated.csv").write_text(network.matrix_csv(saturated), encoding="utf-8")
@@ -76,7 +66,7 @@ def cmd_propagate(args) -> int:
     for line in lines:
         print(line)
     if saturated.mode == "qualitative":
-        derived = network.derived_statements(before, saturated)
+        derived = network.derived_statements(kb, saturated)
         if derived:
             print("derived:")
             for (frm, to), qual in derived.items():
@@ -89,27 +79,13 @@ def cmd_propagate(args) -> int:
 
 
 def cmd_query(args) -> int:
-    try:
-        kb = network.parse_kb(_read(args.kb), mode=args.mode)
-        saturated, _ = network.saturate(kb, args.max_cycle, args.eps)
-        text = _query_json(saturated, [(args.frm, args.to)])
-    except (qualalg.ConfigError, network.ContradictionError, network.UnknownNode) as exc:
-        return _fail(str(exc))
-    _write(args.out, text)
+    saturated, _ = network.saturate(network.parse_kb(_read(args.kb), mode=args.mode))
+    _write(args.out, _query_json(saturated, [(args.frm, args.to)]))
     return 0
 
 
 def cmd_robustness(args) -> int:
-    try:
-        a_from, a_to, step = (float(x) for x in args.alpha.split(":"))
-    except ValueError:
-        return _fail(f"bad alpha range {args.alpha!r}; expected from:to:step")
-    try:
-        report = tables.robustness_sweep(
-            qualalg.SCALE5_LABELS, a_from, a_to, step, args.reference
-        )
-    except ValueError as exc:
-        return _fail(str(exc))
+    report = tables.robustness_sweep(qualalg.SCALE5_LABELS, *args.alpha, args.reference)
     flip_alphas = [a for a in report.alpha_values if a >= (3 - 5**0.5) / 2]
     payload = {
         "reference_alpha": report.reference_alpha,
@@ -136,15 +112,12 @@ def cmd_check(args) -> int:
     return 0
 
 
-def _eps(text: str) -> float:
-    """`--eps`: a negative or NaN threshold never converges, an infinite one derives nothing."""
+def _alpha_range(text: str) -> tuple[float, float, float]:
     try:
-        value = float(text)
+        a_from, a_to, step = map(float, text.split(":"))
     except ValueError:
-        value = float("nan")
-    if not 0.0 <= value < float("inf"):
-        raise argparse.ArgumentTypeError(f"must be a finite non-negative number, got {text!r}")
-    return value
+        raise argparse.ArgumentTypeError("expected from:to:step") from None
+    return a_from, a_to, step
 
 
 def main(argv=None) -> int:
@@ -162,8 +135,6 @@ def main(argv=None) -> int:
     p_prop = sub.add_parser("propagate", help="saturate a knowledge base")
     p_prop.add_argument("kb", help="knowledge base file")
     p_prop.add_argument("--mode", choices=("numeric", "qualitative"), default="numeric")
-    p_prop.add_argument("--max-cycle", type=int, default=4)
-    p_prop.add_argument("--eps", type=_eps, default=1e-9)
     p_prop.add_argument("--out", default=None)
     p_prop.set_defaults(func=cmd_propagate)
 
@@ -172,13 +143,11 @@ def main(argv=None) -> int:
     p_query.add_argument("frm")
     p_query.add_argument("to")
     p_query.add_argument("--mode", choices=("numeric", "qualitative"), default="numeric")
-    p_query.add_argument("--max-cycle", type=int, default=4)
-    p_query.add_argument("--eps", type=_eps, default=1e-9)
     p_query.add_argument("--out", default=None)
     p_query.set_defaults(func=cmd_query)
 
     p_rob = sub.add_parser("robustness", help="sweep the few/half threshold")
-    p_rob.add_argument("--alpha", default="0.25:0.35:0.01", help="from:to:step")
+    p_rob.add_argument("--alpha", type=_alpha_range, default="0.25:0.35:0.01", help="from:to:step")
     p_rob.add_argument("--reference", type=float, default=0.30)
     p_rob.add_argument("--out", default=None)
     p_rob.set_defaults(func=cmd_robustness)
@@ -190,7 +159,16 @@ def main(argv=None) -> int:
     p_check.set_defaults(func=cmd_check)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except network.ContradictionError as exc:
+        print(f"contradiction: {exc}", file=sys.stderr)
+        for step in exc.chain:
+            print(f"  {step.phase} {step.context}: {step.edge} "
+                  f"{step.before} -> {step.after}", file=sys.stderr)
+    except _INPUT_ERRORS as exc:
+        print(f"error: {exc}", file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

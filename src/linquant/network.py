@@ -3,11 +3,12 @@
 Statements constrain P(to|from) for ordered node pairs, either numerically
 or with a qualitative range over the KB's scale.  Saturation repeatedly
 applies the syllogism pattern over all ordered node triples, then the cycle
-form of Bayes' theorem over simple cycles, alternating until nothing
-improves.  One engine serves both modes: each rule proposes a candidate
-for its target edge, and one narrowing step meets it into the edge.  The
-mode only picks the domain.  Numeric mode runs the closed forms on
-intervals, with an epsilon threshold so floating point terminates.
+form of Bayes' theorem over simple cycles of up to four nodes, alternating
+until nothing improves.  One engine serves both modes: each rule proposes a
+candidate for its target edge, and one narrowing step meets it into the
+edge.  The mode only picks the domain.  Numeric mode runs the closed forms
+on intervals, and a move of at most 1e-9 is no change, so floating point
+terminates; a stated label range narrows with its edge's interval.
 Qualitative mode evaluates the same closed forms on the hulls of label
 ranges and approximates once (`tables.eval_extended`), and runs the cycle
 rule in the label algebra; the lattice of ranges is finite, so it
@@ -32,7 +33,8 @@ class ContradictionError(ValueError):
 
 
 class UnknownNode(KeyError):
-    pass
+    def __str__(self) -> str:
+        return f"unknown node {self.args[0]!r}"
 
 
 @dataclass(frozen=True)
@@ -148,16 +150,36 @@ def _constrain(
                 f"{old.interval} vs {interval}"
             )
         interval = interval_new
-        if qual is not None and old.qual is not None:
-            qual_new = qualalg.meet(qual, old.qual)
-            if qual_new is None:
-                raise ContradictionError(
-                    f"contradiction on edge {frm} -> {to} (qualitative)"
-                )
-            qual = qual_new
+        if old.qual is not None and qual is not None:
+            met = qualalg.meet(qual, old.qual)
+            if met is None:  # ranges with no common label touch at one point, which both must hold
+                below, met = sorted((qual, old.qual), key=lambda q: q.low)
+                _stated(kb, (frm, to), below, interval)
+            qual = met
         elif qual is None:
             qual = old.qual
+    if qual is not None:
+        qual = _stated(kb, (frm, to), qual, interval)
     kb.edges[(frm, to)] = Edge(interval, qual)
+
+
+def _stated(kb: KnowledgeBase, pair: tuple[str, str], qual: QRange, interval: ProbInterval) -> QRange:
+    """A stated label range narrowed to the labels of the edge's interval.
+
+    The interval lies in the range's hull, so an empty meet with
+    `approximate` leaves one consistent case: a point on the threshold just
+    below the range, which `approximate` puts in the label below, although
+    the range's lowest label contains it too.
+    """
+    p = kb.partition
+    new = qualalg.meet(qual, p.approximate(interval))
+    if new is None:
+        new = QRange(qual.low, qual.low)
+        if not p.covers(new, interval):
+            raise ContradictionError(
+                f"contradiction on edge {pair[0]} -> {pair[1]}: {p.name_of(qual)} vs {interval}"
+            )
+    return new
 
 
 def parse_kb(text: str, mode: str = "numeric") -> KnowledgeBase:
@@ -203,8 +225,12 @@ def _cycle_rotations(cycle: tuple[str, ...]):
 # -- saturation ---------------------------------------------------------------
 
 
+_MAX_CYCLE = 4  # nodes in the longest cycle the Bayes rule runs on
+_EPS = 1e-9  # numeric mode: a move of at most this is no change
+
+
 class _Intervals:
-    """Numeric mode: edges hold intervals, and a move of at most eps is no change.
+    """Numeric mode: edges hold intervals, and a move of at most `_EPS` is no change.
 
     A candidate is a (lo, hi) pair; the syllogism may return it inverted.
     """
@@ -213,22 +239,26 @@ class _Intervals:
     show = str
     show_candidate = "[{0[0]:.6f}, {0[1]:.6f}]".format
 
-    def __init__(self, kb: KnowledgeBase, eps: float):
-        self.read, self.eps = kb.interval, eps
+    def __init__(self, kb: KnowledgeBase):
+        self.read = kb.interval
 
-    def narrow(self, old: ProbInterval, candidate) -> ProbInterval | None:
+    @staticmethod
+    def narrow(old: ProbInterval, candidate) -> ProbInterval | None:
         lo, hi = max(old.lo, candidate[0]), min(old.hi, candidate[1])
         if lo > hi + TOL:
             return None
         hi = max(lo, hi)
-        if lo - old.lo <= self.eps and old.hi - hi <= self.eps:
+        if lo - old.lo <= _EPS and old.hi - hi <= _EPS:
             return old
         return ProbInterval(lo, hi)
 
     @staticmethod
     def write(kb, pair, interval: ProbInterval) -> None:
         old = kb.edges.get(pair)
-        kb.edges[pair] = Edge(interval, old.qual if old else None)
+        qual = old.qual if old else None
+        if qual is not None:
+            qual = _stated(kb, pair, qual, interval)
+        kb.edges[pair] = Edge(interval, qual)
 
     @staticmethod
     def syllogism(kb, abc):
@@ -284,9 +314,7 @@ class _Labels:
         return (seq[-1], seq[0]), gbt_qualitative(kb, seq)
 
 
-def saturate(
-    kb: KnowledgeBase, max_cycle_len: int = 4, eps: float = 1e-9
-) -> tuple[KnowledgeBase, list[TraceStep]]:
+def saturate(kb: KnowledgeBase) -> tuple[KnowledgeBase, list[TraceStep]]:
     """Run syllogism sweeps then cycle sweeps to a fixpoint; returns a copy.
 
     Each phase sweeps its rule over every context (ordered node triples,
@@ -295,9 +323,9 @@ def saturate(
     """
     out = kb.copy()
     trace: list[TraceStep] = []
-    domain = _Labels(out) if kb.mode == "qualitative" else _Intervals(out, eps)
+    domain = _Labels(out) if kb.mode == "qualitative" else _Intervals(out)
     nodes = sorted(out.nodes)
-    cycles = simple_cycles(out.nodes, max_cycle_len)
+    cycles = simple_cycles(out.nodes, _MAX_CYCLE)
     phases = (
         ("syllogism", domain.syllogism, lambda: itertools.permutations(nodes, 3)),
         (domain.cycle_phase, domain.cycle,
@@ -318,7 +346,12 @@ def saturate(
                     trace[-20:],
                 )
             if new is not old:
-                domain.write(out, target, new)
+                try:
+                    domain.write(out, target, new)
+                except ContradictionError as exc:  # the interval left no label of a stated range
+                    raise ContradictionError(
+                        f"{phase} ({', '.join(context)}): {exc}", trace[-20:]
+                    ) from None
                 trace.append(TraceStep(phase, context, target, domain.show(old), domain.show(new)))
                 changed = True
         return changed
@@ -423,8 +456,8 @@ def derived_statements(
     return out
 
 
-def matrix_csv(kb: KnowledgeBase, decimals: int = 3) -> str:
-    """Incidence matrix, rows = from, columns = to, cells "lo,hi"."""
+def matrix_csv(kb: KnowledgeBase) -> str:
+    """Incidence matrix, rows = from, columns = to, cells "lo,hi" at three decimals."""
     import csv as _csv
     import io as _io
 
@@ -435,25 +468,7 @@ def matrix_csv(kb: KnowledgeBase, decimals: int = 3) -> str:
         row = [frm]
         for to in kb.nodes:
             ival = kb.interval(frm, to)
-            row.append(f"{ival.lo:.{decimals}f},{ival.hi:.{decimals}f}")
+            row.append(f"{ival.lo:.3f},{ival.hi:.3f}")
         writer.writerow(row)
     return buf.getvalue()
 
-
-def kb_from_matrix_csv(text: str, partition: Partition, mode: str = "numeric") -> KnowledgeBase:
-    import csv as _csv
-    import io as _io
-
-    rows = list(_csv.reader(_io.StringIO(text)))
-    header = rows[0][1:]
-    kb = KnowledgeBase(partition, mode)
-    for name in header:
-        kb.add_node(name)
-    for row in rows[1:]:
-        frm = row[0]
-        for to, cell in zip(header, row[1:]):
-            lo_s, hi_s = cell.split(",")
-            ival = ProbInterval(float(lo_s), float(hi_s))
-            if frm != to and ival != FULL:
-                kb.edges[(frm, to)] = Edge(ival, None)
-    return kb

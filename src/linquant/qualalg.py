@@ -72,10 +72,6 @@ class ProbInterval:
             return None
         return ProbInterval(lo, max(lo, hi))
 
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
     def __str__(self) -> str:
         return f"[{self.lo:.3f}, {self.hi:.3f}]"
 
@@ -129,28 +125,15 @@ class Partition:
             )
         self.thresholds = thresholds
         self.labels = labels
+        self.n_labels = len(labels)
+        self.first_interior = 1
+        self.last_interior = self.n_labels - 2
+        self.top = self.n_labels - 1  # index of the {1} label
         # bounds[i-1], bounds[i] delimit interior label i
         self._bounds = (0.0,) + thresholds + (1.0,)
         self._index = {name: i for i, name in enumerate(labels)}
 
     # -- label bookkeeping ------------------------------------------------
-
-    @property
-    def n_labels(self) -> int:
-        return len(self.labels)
-
-    @property
-    def first_interior(self) -> int:
-        return 1
-
-    @property
-    def last_interior(self) -> int:
-        return self.n_labels - 2
-
-    @property
-    def top(self) -> int:
-        """Index of the {1} label."""
-        return self.n_labels - 1
 
     def label_index(self, name: str) -> int:
         try:
@@ -368,8 +351,10 @@ def scale9() -> Partition:
 
 
 class ConfigError(ValueError):
-    def __init__(self, message: str, line_no: int):
-        super().__init__(f"line {line_no}: {message}")
+    """A malformed input line; `line_no` is None when the fault is a missing line."""
+
+    def __init__(self, message: str, line_no: int | None = None):
+        super().__init__(message if line_no is None else f"line {line_no}: {message}")
         self.line_no = line_no
 
 
@@ -379,7 +364,11 @@ def strip_comment(line: str) -> str:
 
 
 def parse_partition_config(text: str) -> Partition:
-    """Parse `@partition t1 .. tn` / `@labels name0 .. nameN` lines."""
+    """Parse `@partition t1 .. tn` / `@labels name0 .. nameN` lines.
+
+    A scale the lines do not make is a ConfigError naming the line at fault:
+    the `@labels` line for its names and their count, else `@partition`.
+    """
     thresholds: list[float] | None = None
     labels: list[str] | None = None
     for no, raw in enumerate(text.splitlines(), start=1):
@@ -392,10 +381,16 @@ def parse_partition_config(text: str) -> Partition:
                 thresholds = [float(f) for f in fields[1:]]
             except ValueError as exc:
                 raise ConfigError(f"bad threshold: {exc}", no) from None
+            partition_no = no
         elif fields[0] == "@labels":
-            labels = fields[1:]
+            labels, labels_no = fields[1:], no
     if thresholds is None:
-        raise ConfigError("missing @partition line", 0)
+        raise ConfigError("missing @partition line")
     if labels is None:
-        raise ConfigError("missing @labels line", 0)
-    return Partition(thresholds, labels)
+        raise ConfigError("missing @labels line")
+    try:
+        return Partition(thresholds, labels)
+    except (DuplicateLabels, WrongLabelCount) as exc:
+        raise ConfigError(f"invalid partition: {exc}", labels_no) from exc
+    except PartitionError as exc:
+        raise ConfigError(f"invalid partition: {exc}", partition_no) from exc

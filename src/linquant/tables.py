@@ -17,7 +17,7 @@ import itertools
 from dataclasses import dataclass
 
 from .bounds import SyllogismInput, syllogism_lower, syllogism_upper
-from .qualalg import Partition, ProbInterval, QRange
+from .qualalg import Partition, ProbInterval, QRange, ThresholdOutOfRange
 
 Key = tuple[int, int, int, int]
 
@@ -180,9 +180,9 @@ def robustness_sweep(
 ) -> RobustnessReport:
     """Regenerate the 2-threshold table per alpha and diff against the reference."""
     if not (0.0 < alpha_from <= alpha_to < 0.5):
-        raise ValueError("alpha range must satisfy 0 < from <= to < 0.5")
-    if step <= 0.0:
-        raise ValueError("step must be positive")
+        raise ThresholdOutOfRange("alpha range must satisfy 0 < from <= to < 0.5")
+    if not step > 0.0:
+        raise ThresholdOutOfRange("alpha step must be positive")
     reference = gen_table(Partition((reference_alpha, 1 - reference_alpha), labels))
     alphas = []
     a = alpha_from

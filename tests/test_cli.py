@@ -1,9 +1,20 @@
 """Command-line front end."""
 
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import linquant
+from linquant import network, qualalg
 from linquant.cli import main
 
 from conftest import STUDENTS_KB7, STUDENTS_NUMERIC
@@ -82,18 +93,6 @@ def test_propagate_contradictory_statements(tmp_path, capsys):
     assert err.startswith("contradiction: line 4: ") and len(err.splitlines()) == 1
 
 
-@pytest.mark.parametrize("command", ["propagate", "query"])
-@pytest.mark.parametrize("eps", ["-1", "nan", "inf", "x"])
-def test_bad_eps_is_a_usage_error(tmp_path, capsys, command, eps):
-    kb = tmp_path / "students.kb"
-    kb.write_text(STUDENTS_NUMERIC)
-    nodes = ["single", "student"] if command == "query" else []
-    with pytest.raises(SystemExit) as exc:
-        main([command, str(kb), *nodes, "--eps", eps])
-    assert exc.value.code == 2
-    assert "argument --eps: must be a finite non-negative number" in capsys.readouterr().err
-
-
 # the Bayes cycle c0 -> c1 -> c2 closes on an empty refinement of P(c0|c2)
 CYCLE_CLASH = SCALE7 + """\
 n c0 c1 0.732 0.753
@@ -118,8 +117,9 @@ def test_query_cycle_contradiction(tmp_path, capsys):
     kb = tmp_path / "cycle.kb"
     kb.write_text(CYCLE_CLASH)
     assert main(["query", str(kb), "c0", "c2"]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: bayes ") and len(err.splitlines()) == 1
+    first, *chain = capsys.readouterr().err.splitlines()
+    assert first.startswith("contradiction: bayes ")
+    assert chain and all(line.startswith("  ") for line in chain)
 
 
 def test_query_subcommand(tmp_path, capsys):
@@ -146,8 +146,23 @@ def test_robustness_flags_product_flip(tmp_path):
     assert any(a >= 0.382 for a in payload["half_product_flip_alphas"])
 
 
-def test_robustness_bad_range(tmp_path, capsys):
+def test_robustness_bad_range(capsys):
     assert main(["robustness", "--alpha", "0.4:0.1:0.01"]) == 1
+    assert capsys.readouterr().err == "error: alpha range must satisfy 0 < from <= to < 0.5\n"
+
+
+@pytest.mark.parametrize("step", ["0", "-0.01", "nan"])
+def test_robustness_bad_step(capsys, step):
+    assert main(["robustness", "--alpha", f"0.25:0.35:{step}"]) == 1
+    assert capsys.readouterr().err == "error: alpha step must be positive\n"
+
+
+@pytest.mark.parametrize("alpha", ["0.25:0.35", "0.25:x:0.01", ""])
+def test_robustness_malformed_alpha_is_a_usage_error(capsys, alpha):
+    with pytest.raises(SystemExit) as exc:
+        main(["robustness", "--alpha", alpha])
+    assert exc.value.code == 2
+    assert "argument --alpha: expected from:to:step" in capsys.readouterr().err
 
 
 def test_check_empty(tmp_path):
@@ -191,3 +206,111 @@ def test_shipped_samples(tmp_path, capsys):
     ) == 0
     answers = json.loads((tmp_path / "answers.json").read_text())
     assert answers["P(student|children)"]["hi"] == pytest.approx(0.099, abs=0.01)
+
+
+# (command, file contents or None for no file, line the message names or None)
+INPUT_ERRORS = {
+    "propagate-missing": ("propagate", None, None),
+    "query-missing": ("query", None, None),
+    "tables-missing": ("tables", None, None),
+    "propagate-directory": ("propagate", "dir", None),
+    "propagate-not-utf8": ("propagate", b"@partition 0.3 0.7\n\xff\xfe\n", None),
+    "propagate-decreasing": ("propagate", "@partition 0.5 0.3\n@labels none few half most all\n", 1),
+    "query-decreasing": ("query", "@partition 0.5 0.3\n@labels none few half most all\n", 1),
+    "propagate-empty-partition": ("propagate", "@partition\n@labels none few half most all\n", 2),
+}
+
+
+@pytest.mark.parametrize("case", INPUT_ERRORS)
+def test_input_error_is_one_line(tmp_path, capsys, case):
+    command, content, line = INPUT_ERRORS[case]
+    path = tmp_path / "input"
+    if content == "dir":
+        path.mkdir()
+    elif isinstance(content, bytes):
+        path.write_bytes(content)
+    elif content is not None:
+        path.write_text(content)
+    nodes = ["a", "b"] if command == "query" else []
+    assert main([command, str(path), *nodes, "--out", str(tmp_path / "out")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
+    assert "line 0" not in captured.err
+    if line is not None:
+        assert captured.err.startswith(f"error: line {line}: ")
+
+
+NAMES = [f"c{i}" for i in range(6)]
+SCALE7_LABELS = qualalg.SCALE7_LABELS
+GRID = [0.0, 0.1, 0.2, 0.3, 0.5, 0.7, 0.8, 0.9, 1.0]
+
+
+@st.composite
+def kb_lines(draw):
+    """One KB line over at most 6 classes: a valid statement, or one time in ten a broken line."""
+    frm, to = draw(st.sampled_from(NAMES)), draw(st.sampled_from(NAMES))
+    lo, hi = sorted(draw(st.sampled_from(GRID)) for _ in range(2))
+    low, high = sorted(draw(st.integers(0, len(SCALE7_LABELS) - 1)) for _ in range(2))
+    valid = [
+        f"n {frm} {to} {lo} {hi}",
+        f"q {frm} {to} {SCALE7_LABELS[low]} {SCALE7_LABELS[high]}",
+        f"q {frm} {to} {SCALE7_LABELS[low]}",
+        f"? {frm} {to}",
+    ]
+    broken = [
+        f"n {frm} {to} {hi} {lo + 0.05}",
+        f"n {frm} {to} {lo}",
+        f"n {frm} {to} nan {hi}",
+        f"n {frm} {to} {lo} {hi + 1}",
+        f"q {frm} {to} nosuch",
+        f"q {frm} {to} {SCALE7_LABELS[high]} {SCALE7_LABELS[low - 1]}",
+        f"? {frm}",
+        "@partition 0.6 0.4",
+        "@partition",
+        "@partition 0.2 x",
+        "@labels none few half",
+        "@labels none none few half most al-all all",
+        draw(st.text(max_size=20)),
+    ]
+    return draw(st.sampled_from(broken if draw(st.integers(0, 9)) == 0 else valid))
+
+
+@settings(max_examples=200, deadline=2000, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    lines=st.lists(kb_lines(), max_size=12),
+    header=st.integers(0, 9),
+    mode=st.sampled_from(["numeric", "qualitative"]),
+    query=st.booleans(),
+)
+def test_any_kb_ends_in_a_status(lines, header, mode, query):
+    """Parse and run a KB that mixes valid and broken lines; the header is missing one time in ten."""
+    head = [SCALE7.rstrip()] if header else []
+    text = "\n".join(head + lines) + "\n"
+    try:
+        network.parse_kb(text, mode)
+    except (qualalg.ConfigError, network.ContradictionError):
+        pass
+    with tempfile.TemporaryDirectory() as tmp:
+        kb = Path(tmp) / "random.kb"
+        kb.write_text(text, encoding="utf-8", errors="surrogateescape")
+        args = ["query", str(kb), "c0", "c1"] if query else ["propagate", str(kb)]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                status = main([*args, "--mode", mode, "--out", str(Path(tmp) / "out")])
+            except SystemExit as exc:
+                status = exc.code
+    assert status in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if status == 1:
+        assert err.getvalue().startswith(("error: ", "contradiction: "))
+
+
+def test_cli_import_loads_no_scipy():
+    src = str(Path(linquant.__file__).resolve().parent.parent)
+    probe = "import sys, linquant.cli; print('scipy' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.stdout.strip() == "False"

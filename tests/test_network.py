@@ -1,9 +1,13 @@
 """Knowledge base ingestion, saturation, cycles, and querying."""
 
 import itertools
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from linquant import network, qualalg
 from linquant.network import (
@@ -39,6 +43,32 @@ class TestIngest:
         ingest(kb, "n a b 0 0.5")
         ingest(kb, "n a b 0.3 1")
         assert kb.interval("a", "b") == I(0.3, 0.5)
+
+    def test_stated_range_meets_numeric_statement(self, p7):
+        kb = KnowledgeBase(p7, "numeric")
+        ingest(kb, "q a b al-none al-all")
+        ingest(kb, "n a b 0.9 1")
+        assert kb.qual("a", "b") == p7.range_of("al-all")
+        ingest(kb, "n b a 0.9 1")
+        ingest(kb, "q b a al-none al-all")
+        assert kb.qual("b", "a") == p7.range_of("al-all")
+
+    def test_stated_range_excluding_the_interval(self, p7):
+        kb = KnowledgeBase(p7, "numeric")
+        ingest(kb, "q a b al-none")
+        with pytest.raises(ContradictionError, match="a -> b"):
+            ingest(kb, "n a b 0 0")
+
+    @pytest.mark.parametrize("lines, label", [
+        (["q a b half", "n a b 0.3 0.4"], "half"),
+        (["n a b 0.3 0.4", "q a b half"], "half"),
+        (["q a b al-all", "n a b 0.7 0.8"], "al-all"),
+    ])
+    def test_point_on_threshold_keeps_stated_label(self, p7, lines, label):
+        # the point lies on the threshold below the stated label, which contains it
+        kb = parse_kb("@partition 0.2 0.4 0.6 0.8\n@labels " + " ".join(p7.labels) + "\n"
+                      + "\n".join(lines) + "\n")
+        assert kb.qual("a", "b") == p7.range_of(label)
 
     def test_contradictory_reingest(self, p7):
         kb = KnowledgeBase(p7, "numeric")
@@ -145,6 +175,55 @@ class TestSaturateNumeric:
         ingest(kb, "n a c 0 0.2")
         with pytest.raises(ContradictionError):
             saturate(kb)
+
+    def test_stated_range_clash_reports_chain(self, p7):
+        # the syllogism through c pins P(y|x) to 0, which leaves no label of al-none
+        kb = KnowledgeBase(p7, "numeric")
+        for line in ("q x y al-none", "n x c 1 1", "n c x 1 1", "n c y 0 0",
+                     "n a c 0.5 0.6", "n c a 0.3 0.9"):
+            ingest(kb, line)
+        clash = r"^syllogism \(x, c, y\): .* x -> y: al-none"
+        with pytest.raises(ContradictionError, match=clash) as err:
+            saturate(kb)
+        assert [step.context for step in err.value.chain][0] == ("a", "c", "x")
+
+
+def _stated_by_form(p, frm: str, to: str, v: Fraction, form: int) -> str:
+    """One true statement about P(to|frm) = v: a grid interval, a point, or a label containing v."""
+    point = I(float(v), float(v))
+    if form == 0:
+        return f"n {frm} {to} {float(math.floor(v * 5) / 5)} {float(math.ceil(v * 5) / 5)}"
+    if form == 1:
+        return f"n {frm} {to} {float(v)} {float(v)}"
+    label = p.approximate(point).low  # the label below, for a point on a threshold
+    if form == 3 and label < p.top and p.covers(qualalg.QRange(label + 1, label + 1), point):
+        label += 1  # the label above, which contains that point too
+    return f"q {frm} {to} {p.labels[label]}"
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    weights=st.lists(st.integers(0, 3), min_size=8, max_size=8),
+    forms=st.lists(st.integers(0, 3), min_size=12, max_size=12),
+)
+def test_kb_of_one_distribution_is_consistent(weights, forms):
+    # 3 classes with small integer atom weights, so that the conditionals
+    # often sit on a threshold of the 7-label scale; two statements per pair,
+    # each true of that distribution, so saturation must keep each conditional
+    assume(all(sum(w for a, w in enumerate(weights) if a >> i & 1) for i in range(3)))
+    p = qualalg.scale7()
+    pcond = conditionals_of([Fraction(w) for w in weights], 3)
+    pairs = [(f, t) for f in range(3) for t in range(3) if f != t]
+    names = "abc"
+    lines = [_stated_by_form(p, names[f], names[t], pcond(t, f), form)
+             for (f, t), form in zip(pairs + pairs, forms)]
+    sat, _ = saturate(parse_kb(
+        "@partition 0.2 0.4 0.6 0.8\n@labels " + " ".join(p.labels) + "\n" + "\n".join(lines) + "\n"
+    ))
+    for f, t in pairs:
+        v = float(pcond(t, f))
+        assert sat.interval(names[f], names[t]).contains(v, tol=1e-9), (lines, f, t)
+        assert p.semantics(sat.qual(names[f], names[t])).contains(v, tol=1e-9), (lines, f, t)
 
 
 class TestSaturateQualitative:
@@ -321,15 +400,16 @@ class TestQuery:
 
     def test_unknown_node(self, p7):
         kb = KnowledgeBase(p7, "numeric")
-        with pytest.raises(UnknownNode):
+        with pytest.raises(UnknownNode, match="unknown node 'no'"):
             network.query(kb, "no", "pe")
 
-
-class TestMatrixRoundTrip:
-    def test_export_import_same_fixpoint(self):
-        kb = parse_kb(STUDENTS_NUMERIC, mode="numeric")
+    def test_stated_range_follows_narrowed_interval(self):
+        # the syllogism through c narrows P(b|a) to [0.8, 1]: of the stated range only al-all is left
+        kb = parse_kb(
+            "@partition 0.2 0.4 0.6 0.8\n@labels none al-none few half most al-all all\n"
+            "q a b al-none al-all\nn a c 0.9 1\nn c b 0.9 1\nn c a 0.9 1\nn b c 0.9 1\n"
+        )
         sat, _ = saturate(kb)
-        csv_text = network.matrix_csv(sat, decimals=6)
-        back = network.kb_from_matrix_csv(csv_text, kb.partition, "numeric")
-        sat2, _ = saturate(back)
-        assert network.matrix_csv(sat2) == network.matrix_csv(sat)
+        ival, qual = network.query(sat, "a", "b")
+        assert ival.lo == pytest.approx(0.8)
+        assert qual == sat.partition.range_of("al-all")

@@ -328,5 +328,17 @@ def test_parse_partition_config():
 
 
 def test_parse_partition_config_missing_labels():
-    with pytest.raises(qualalg.ConfigError):
+    with pytest.raises(qualalg.ConfigError, match="^missing @labels line$") as err:
         qualalg.parse_partition_config("@partition 0.3 0.7\n")
+    assert err.value.line_no is None
+
+
+@pytest.mark.parametrize("text, line", [
+    ("@partition 0.7 0.3\n@labels none few half most all\n", 1),
+    ("# scale\n@partition 0.3 0.7\n@labels none few few most all\n", 3),
+    ("@labels none few half most all\n@partition\n", 1),
+])
+def test_parse_partition_config_names_the_line(text, line):
+    with pytest.raises(qualalg.ConfigError, match=f"^line {line}: invalid partition: ") as err:
+        qualalg.parse_partition_config(text)
+    assert err.value.line_no == line
