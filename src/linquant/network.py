@@ -1,23 +1,38 @@
 """Knowledge base of quantified statements and the saturation engine.
 
 Statements constrain P(to|from) for ordered node pairs, either numerically
-or with a qualitative range over the KB's scale.  Saturation repeatedly
-applies the syllogism pattern over all ordered node triples, then the cycle
-form of Bayes' theorem over simple cycles of up to four nodes, alternating
-until nothing improves.  One engine serves both modes: each rule proposes a
-candidate for its target edge, and one narrowing step meets it into the
-edge.  The mode only picks the domain.  Numeric mode runs the closed forms
-on intervals, and a move of at most 1e-9 is no change, so floating point
-terminates; a stated label range narrows with its edge's interval.
-Qualitative mode evaluates the same closed forms on the hulls of label
-ranges and approximates once (`tables.eval_extended`), and runs the cycle
-rule in the label algebra; the lattice of ranges is finite, so it
-terminates exactly.
+or with a qualitative range over the KB's scale.  Saturation applies the
+syllogism pattern to node triples and the cycle form of Bayes' theorem to
+the rotations of simple cycles of up to four nodes until no edge narrows.
+One engine serves both modes: each rule proposes a candidate for its target
+edge, and one narrowing step meets it into the edge.  The mode only picks
+the domain.  Numeric mode runs the closed forms on intervals, and a move of
+at most 1e-9 is no change, so floating point terminates; a stated label
+range narrows with its edge's interval.  Qualitative mode evaluates the
+same closed forms on the hulls of label ranges and approximates once
+(`tables.eval_extended`), and runs the cycle rule in the label algebra; the
+lattice of ranges is finite, so it terminates exactly.
+
+The engine is a worklist (AC-3, Mackworth 1977): it applies a rule only to
+contexts that can narrow, and after an edge narrows it queues again only
+the contexts that read that edge.  Two rules say which contexts can narrow:
+
+- a syllogism (a, b, c) needs an informative edge between b and a and one
+  between b and c, in either direction, because with either pair vacuous
+  the closed forms give the vacuous candidate;
+- a cycle rotation A1..Ak needs a positive lower bound on every edge of the
+  path A1 -> .. -> Ak (its upper side) or of Ak -> .. -> A1 (its lower
+  side), because each side divides by or multiplies those lower bounds and
+  drops a zero.
+
+Both rules are monotone narrowing operators, so the fixpoint does not
+depend on the order in which contexts are applied (Cousot & Cousot 1977).
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass, field
 
 from . import qualalg, tables
@@ -202,7 +217,11 @@ def parse_kb(text: str, mode: str = "numeric") -> KnowledgeBase:
 
 
 def simple_cycles(nodes: list[str], max_len: int) -> list[tuple[str, ...]]:
-    """Canonical simple cycles, shortest first, rotation/reflection minimal."""
+    """Canonical simple cycles, shortest first, rotation/reflection minimal.
+
+    Saturation does not list cycles: it grows positive paths (`_Graph`).
+    The tests sweep these cycles to check that it missed none that narrows.
+    """
     out: list[tuple[str, ...]] = []
     ordered = sorted(nodes)
     for m in range(3, max_len + 1):
@@ -241,6 +260,14 @@ class _Intervals:
 
     def __init__(self, kb: KnowledgeBase):
         self.read = kb.interval
+
+    @staticmethod
+    def informative(value: ProbInterval) -> bool:
+        return value != FULL
+
+    @staticmethod
+    def positive(value: ProbInterval) -> bool:
+        return value.lo > 0.0
 
     @staticmethod
     def narrow(old: ProbInterval, candidate) -> ProbInterval | None:
@@ -287,6 +314,14 @@ class _Labels:
     def __init__(self, kb: KnowledgeBase):
         self.read = kb.qual
         self.show = self.show_candidate = kb.partition.name_of
+        self.full = kb.partition.full_range()
+
+    def informative(self, value: QRange) -> bool:
+        return value != self.full
+
+    @staticmethod
+    def positive(value: QRange) -> bool:
+        return value.low > 0
 
     @staticmethod
     def narrow(old: QRange, candidate: QRange) -> QRange | None:
@@ -315,58 +350,138 @@ class _Labels:
 
 
 def saturate(kb: KnowledgeBase) -> tuple[KnowledgeBase, list[TraceStep]]:
-    """Run syllogism sweeps then cycle sweeps to a fixpoint; returns a copy.
+    """Run the syllogism and the cycle rule to a fixpoint; returns a copy and its trace.
 
-    Each phase sweeps its rule over every context (ordered node triples,
-    then the rotations of the simple cycles) until a sweep changes nothing;
-    the two phases alternate until neither does.
+    Two first-in first-out queues hold the contexts still to apply: node
+    triples for the syllogism and cycle rotations for the cycle rule.  They
+    start with every context that can narrow (see the module docstring) and
+    the syllogism queue drains before each rotation, so the syllogism phase
+    runs first and again after every rotation that narrows an edge.  When
+    an edge narrows, the contexts that read it are queued again, each at
+    most once at a time, in sorted order; saturation ends when both queues
+    are empty.
     """
     out = kb.copy()
     trace: list[TraceStep] = []
     domain = _Labels(out) if kb.mode == "qualitative" else _Intervals(out)
-    nodes = sorted(out.nodes)
-    cycles = simple_cycles(out.nodes, _MAX_CYCLE)
-    phases = (
-        ("syllogism", domain.syllogism, lambda: itertools.permutations(nodes, 3)),
-        (domain.cycle_phase, domain.cycle,
-         lambda: itertools.chain.from_iterable(map(_cycle_rotations, cycles))),
-    )
-
-    def sweep(phase, rule, contexts) -> bool:
-        """The narrowing step: meet each rule candidate into its target edge."""
-        changed = False
-        for context in contexts():
-            target, candidate = rule(out, context)
-            old = domain.read(*target)
-            new = domain.narrow(old, candidate)
-            if new is None:
+    graph = _Graph(out, domain)
+    rules = (("syllogism", domain.syllogism), (domain.cycle_phase, domain.cycle))
+    queues = (_Queue(graph.triples()), _Queue(graph.rotations()))
+    while any(queues):
+        i = 0 if queues[0] else 1
+        phase, rule = rules[i]
+        context = queues[i].pop()
+        target, candidate = rule(out, context)
+        old = domain.read(*target)
+        new = domain.narrow(old, candidate)
+        if new is None:
+            raise ContradictionError(
+                f"{phase} ({', '.join(context)}) empties edge {target[0]} -> {target[1]}: "
+                f"{domain.show(old)} meets {domain.show_candidate(candidate)}",
+                trace[-20:],
+            )
+        if new is not old:
+            try:
+                domain.write(out, target, new)
+            except ContradictionError as exc:  # the interval left no label of a stated range
                 raise ContradictionError(
-                    f"{phase} ({', '.join(context)}) empties edge {target[0]} -> {target[1]}: "
-                    f"{domain.show(old)} meets {domain.show_candidate(candidate)}",
-                    trace[-20:],
-                )
-            if new is not old:
-                try:
-                    domain.write(out, target, new)
-                except ContradictionError as exc:  # the interval left no label of a stated range
-                    raise ContradictionError(
-                        f"{phase} ({', '.join(context)}): {exc}", trace[-20:]
-                    ) from None
-                trace.append(TraceStep(phase, context, target, domain.show(old), domain.show(new)))
-                changed = True
-        return changed
-
-    # a list, not a generator, so that every round runs both phases
-    _until_stable(lambda: any([_until_stable(lambda: sweep(*phase)) for phase in phases]))
+                    f"{phase} ({', '.join(context)}): {exc}", trace[-20:]
+                ) from None
+            trace.append(TraceStep(phase, context, target, domain.show(old), domain.show(new)))
+            graph.add(target, new)
+            queues[0].extend(graph.triples(target))
+            queues[1].extend(graph.rotations(target))
     return out, trace
 
 
-def _until_stable(step) -> bool:
-    """Repeat `step` until it reports no change; True if any call changed something."""
-    for rounds in range(10_000):
-        if not step():
-            return rounds > 0
-    raise RuntimeError("saturation failed to converge")
+class _Graph:
+    """The edges that decide which contexts can narrow, updated as edges narrow.
+
+    `near[b]` holds the nodes with an informative edge to or from b, and
+    `succ[x]` and `pred[y]` the edges x -> y with a positive lower bound.
+    An edge only narrows, so it never leaves them.  They are dicts, so they
+    iterate in insertion order whatever the string hash seed.
+    """
+
+    def __init__(self, kb: KnowledgeBase, domain):
+        self.domain = domain
+        nodes = sorted(kb.nodes)
+        self.near: dict[str, dict] = {x: {} for x in nodes}
+        self.succ: dict[str, dict] = {x: {} for x in nodes}
+        self.pred: dict[str, dict] = {x: {} for x in nodes}
+        for pair in sorted(kb.edges):
+            self.add(pair, domain.read(*pair))
+
+    def add(self, pair: tuple[str, str], value) -> None:
+        u, v = pair
+        if self.domain.informative(value):
+            self.near[u][v] = self.near[v][u] = True
+        if self.domain.positive(value):
+            self.succ[u][v] = self.pred[v][u] = True
+
+    def triples(self, pair: tuple[str, str] | None = None) -> list[tuple[str, str, str]]:
+        """Syllogisms (a, b, c) with a and c near b; if `pair` is given, those that read it."""
+        if pair is None:
+            return [(a, b, c) for b, ab in self.near.items() for a in ab for c in ab if a != c]
+        return [
+            triple
+            for b, other in (pair, pair[::-1]) for x in self.near[b] if x != other
+            for triple in ((other, b, x), (x, b, other))
+        ]
+
+    def rotations(self, pair: tuple[str, str] | None = None) -> list[tuple[str, ...]]:
+        """Rotations that run along a positive path forward or backward.
+
+        If `pair` is given, only those that read it.  A rotation reads every
+        edge of its cycle, so a path whose cycle has the edge (u, v) either
+        steps between u and v or runs from one to the other.
+        """
+        sizes = range(3, _MAX_CYCLE + 1)
+        if pair is None:
+            paths = [path for x in self.succ for k in sizes for path in self._grow((x,), 0, k - 1)]
+        else:
+            paths = []
+            for (x, y), k in itertools.product((pair, pair[::-1]), sizes):
+                if y in self.succ[x]:
+                    for left in range(k - 1):
+                        paths += self._grow((x, y), left, k - 2 - left)
+                paths += [
+                    path + (y,) for path in self._grow((x,), 0, k - 2)
+                    if y not in path and y in self.succ[path[-1]]
+                ]
+        return [seq for path in paths for seq in (path, path[::-1])]
+
+    def _grow(self, path: tuple[str, ...], left: int, right: int) -> list[tuple[str, ...]]:
+        """The positive paths that extend `path` by `left` nodes before it and `right` after it."""
+        paths = [path]
+        for _ in range(left):
+            paths = [(w,) + p for p in paths for w in self.pred[p[0]] if w not in p]
+        for _ in range(right):
+            paths = [p + (w,) for p in paths for w in self.succ[p[-1]] if w not in p]
+        return paths
+
+
+class _Queue:
+    """Contexts waiting for their rule, first in first out, each queued at most once."""
+
+    def __init__(self, contexts: list[tuple[str, ...]]):
+        self._items: deque[tuple[str, ...]] = deque()
+        self._queued: set[tuple[str, ...]] = set()
+        self.extend(contexts)
+
+    def __bool__(self) -> bool:
+        return bool(self._items)
+
+    def extend(self, contexts: list[tuple[str, ...]]) -> None:
+        for context in sorted(contexts, key=lambda c: (len(c), c)):  # shorter cycles first
+            if context not in self._queued:
+                self._queued.add(context)
+                self._items.append(context)
+
+    def pop(self) -> tuple[str, ...]:
+        context = self._items.popleft()
+        self._queued.remove(context)
+        return context
 
 
 _table_cache: dict[tuple, SyllogismTable] = {}

@@ -171,6 +171,9 @@ class RobustnessReport:
         return len(self.changed_distinct)
 
 
+_MAX_ALPHAS = 1_000  # tables one robustness sweep may build, about 10 ms each
+
+
 def robustness_sweep(
     labels: tuple[str, ...],
     alpha_from: float,
@@ -183,6 +186,8 @@ def robustness_sweep(
         raise ThresholdOutOfRange("alpha range must satisfy 0 < from <= to < 0.5")
     if not step > 0.0:
         raise ThresholdOutOfRange("alpha step must be positive")
+    if (alpha_to - alpha_from + 1e-12) / step >= _MAX_ALPHAS:  # the loop below makes one more
+        raise ThresholdOutOfRange(f"alpha step too small: more than {_MAX_ALPHAS} alphas")
     reference = gen_table(Partition((reference_alpha, 1 - reference_alpha), labels))
     alphas = []
     a = alpha_from

@@ -157,6 +157,13 @@ def test_robustness_bad_step(capsys, step):
     assert capsys.readouterr().err == "error: alpha step must be positive\n"
 
 
+@pytest.mark.parametrize("step", ["0.0001", "0.00001", "1e-300"])
+def test_robustness_too_many_alphas(capsys, step):
+    # 1,001 alphas and more: refused before any table is built
+    assert main(["robustness", "--alpha", f"0.25:0.35:{step}"]) == 1
+    assert capsys.readouterr().err == "error: alpha step too small: more than 1000 alphas\n"
+
+
 @pytest.mark.parametrize("alpha", ["0.25:0.35", "0.25:x:0.01", ""])
 def test_robustness_malformed_alpha_is_a_usage_error(capsys, alpha):
     with pytest.raises(SystemExit) as exc:

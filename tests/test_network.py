@@ -1,8 +1,13 @@
 """Knowledge base ingestion, saturation, cycles, and querying."""
 
+import collections
 import itertools
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +28,7 @@ from linquant.network import (
 from linquant.oracle import OracleProblem, class_event, solve, solve_events
 from linquant.qualalg import ProbInterval as I
 
-from conftest import STUDENTS_KB7, STUDENTS_NUMERIC, conditionals_of
+from conftest import STUDENTS_KB7, STUDENTS_KB9, STUDENTS_NUMERIC, conditionals_of
 
 
 class TestIngest:
@@ -289,6 +294,26 @@ def assert_contains_lp_ranges(kb: KnowledgeBase, sat: KnowledgeBase) -> None:
         )
 
 
+def labelled_kbs(p):
+    """Ten seeded 5-class qualitative KBs whose ten statements label the
+    conditionals of one random joint distribution, so every KB is consistent."""
+    rng = np.random.default_rng(p.n_labels)
+    names = ["a", "b", "c", "d", "e"]
+    pairs = [(f, t) for f in range(5) for t in range(5) if f != t]
+    for _ in range(10):
+        pcond = conditionals_of(rng.dirichlet(np.full(32, 0.3)), 5)
+        kb = KnowledgeBase(p, "qualitative")
+        for name in names:
+            kb.add_node(name)
+        for i in rng.permutation(len(pairs))[:10]:
+            f, t = pairs[i]
+            v = pcond(t, f)
+            w = float(rng.choice([0.0, 0.1]))
+            q = p.approximate(I(max(0.0, v - w), min(1.0, v + w)))
+            ingest(kb, f"q {names[f]} {names[t]} {p.labels[q.low]} {p.labels[q.high]}")
+        yield kb
+
+
 class TestQualitativeSoundness:
     def test_crossing_term_reaches_the_lp_maximum(self, p7):
         # corner cells of the four ranges cap P(c|a) at `most` (0.8); the LP
@@ -306,23 +331,7 @@ class TestQualitativeSoundness:
 
     @pytest.mark.parametrize("scale", ["p5", "p7", "p9"])
     def test_contains_global_lp_range(self, scale, request):
-        # 5-class KBs whose ten statements label the conditionals of one
-        # random joint distribution, so every KB is consistent
-        p = request.getfixturevalue(scale)
-        rng = np.random.default_rng(p.n_labels)
-        names = ["a", "b", "c", "d", "e"]
-        pairs = [(f, t) for f in range(5) for t in range(5) if f != t]
-        for _ in range(10):
-            pcond = conditionals_of(rng.dirichlet(np.full(32, 0.3)), 5)
-            kb = KnowledgeBase(p, "qualitative")
-            for name in names:
-                kb.add_node(name)
-            for i in rng.permutation(len(pairs))[:10]:
-                f, t = pairs[i]
-                v = pcond(t, f)
-                w = float(rng.choice([0.0, 0.1]))
-                q = p.approximate(I(max(0.0, v - w), min(1.0, v + w)))
-                ingest(kb, f"q {names[f]} {names[t]} {p.labels[q.low]} {p.labels[q.high]}")
+        for kb in labelled_kbs(request.getfixturevalue(scale)):
             sat, _ = saturate(kb)
             assert_contains_lp_ranges(kb, sat)
 
@@ -335,6 +344,189 @@ class TestQualitativeSoundness:
         sat, _ = saturate(kb)
         assert sat.qual("c", "a") == sat.qual("b", "c") == p7.full_range()
         assert_contains_lp_ranges(kb, sat)
+
+
+SCALE7 = "@partition 0.2 0.4 0.6 0.8\n@labels none al-none few half most al-all all\n"
+
+# a 16-class chain of a seeded population, both directions along the chain
+# and the chord c03-c09 each way
+CHAIN16 = SCALE7 + """\
+n c00 c01 0.655 0.746
+n c01 c02 0.338 0.479
+n c02 c03 0.475 0.547
+n c03 c04 0.451 0.628
+n c04 c05 0.552 0.643
+n c05 c06 0.391 0.525
+n c06 c07 0.381 0.524
+n c07 c08 0.547 0.719
+n c08 c09 0.418 0.567
+n c09 c10 0.293 0.403
+n c10 c11 0.314 0.482
+n c11 c12 0.498 0.620
+n c12 c13 0.631 0.764
+n c13 c14 0.390 0.553
+n c14 c15 0.495 0.598
+n c01 c00 0.596 0.762
+n c02 c01 0.528 0.669
+n c03 c02 0.255 0.381
+n c04 c03 0.529 0.667
+n c05 c04 0.464 0.566
+n c06 c05 0.485 0.643
+n c07 c06 0.569 0.747
+n c08 c07 0.419 0.517
+n c09 c08 0.651 0.737
+n c10 c09 0.472 0.605
+n c11 c10 0.305 0.400
+n c12 c11 0.339 0.445
+n c13 c12 0.576 0.689
+n c14 c13 0.574 0.667
+n c15 c14 0.521 0.572
+n c03 c09 0.045 0.146
+n c09 c03 0.010 0.158
+"""
+
+
+def chain_kb(n: int) -> str:
+    """An n-class chain whose neighbours overlap, and whose middle class barely meets c0."""
+    lines = [f"n c{i} c{i + 1} 0.6 0.8\nn c{i + 1} c{i} 0.55 0.85\n" for i in range(n - 1)]
+    return SCALE7 + "".join(lines) + f"n c0 c{n // 2} 0 0.1\nn c{n // 2} c0 0 0.1\n"
+
+
+def assert_fixpoint(sat: KnowledgeBase) -> None:
+    """One more pass of both rules over every context narrows no edge."""
+    domain = network._Labels(sat) if sat.mode == "qualitative" else network._Intervals(sat)
+    nodes = sorted(sat.nodes)
+    cycles = simple_cycles(nodes, 4)
+    rotations = itertools.chain.from_iterable(map(network._cycle_rotations, cycles))
+    for rule, contexts in ((domain.syllogism, itertools.permutations(nodes, 3)),
+                           (domain.cycle, rotations)):
+        for context in contexts:
+            target, candidate = rule(sat, context)
+            old = domain.read(*target)  # read once: `kb.qual` builds a new range per call
+            assert domain.narrow(old, candidate) is old, (context, domain.show(old))
+
+
+def random_numeric_kbs(count: int):
+    """Seeded 5- and 6-class numeric KBs: 2k widened conditionals of one random distribution."""
+    rng = np.random.default_rng(31)
+    p = qualalg.scale7()
+    for trial in range(count):
+        k = 5 + trial % 2
+        pcond = conditionals_of(rng.dirichlet(np.full(2**k, 0.5)), k)
+        kb = KnowledgeBase(p, "numeric")
+        pairs = [(f, t) for f in range(k) for t in range(k) if f != t]
+        for i in rng.permutation(len(pairs))[: 2 * k]:
+            f, t = pairs[i]
+            v = float(pcond(t, f))
+            w1, w2 = (float(w) for w in rng.uniform(0.0, 0.15, 2))
+            ingest(kb, f"n c{f} c{t} {max(0.0, v - w1)!r} {min(1.0, v + w2)!r}")
+        yield kb
+
+
+def _fixpoint_cases():
+    for p in (qualalg.scale5(0.3), qualalg.scale7(), qualalg.scale9()):
+        yield from labelled_kbs(p)
+    yield from random_numeric_kbs(10)
+    for mode in ("numeric", "qualitative"):
+        yield parse_kb(chain_kb(12), mode)
+    yield parse_kb(STUDENTS_KB7, mode="qualitative")
+    yield parse_kb(STUDENTS_KB9, mode="qualitative")
+    yield parse_kb(STUDENTS_NUMERIC, mode="numeric")
+
+
+class TestWorklist:
+    def test_saturation_is_a_fixpoint_of_every_context(self):
+        # the worklist skips contexts that cannot narrow; a full pass over
+        # every context after saturation shows that none it skipped could
+        cases = list(_fixpoint_cases())
+        assert len(cases) == 45
+        for kb in cases:
+            sat, _ = saturate(kb)
+            assert_fixpoint(sat)
+
+    def test_contexts_that_read_an_edge(self):
+        # the contexts queued after an edge narrows are exactly those that
+        # can narrow and read that edge, and the first queue is every context
+        # that can narrow
+        kb = list(random_numeric_kbs(2))[1]
+        graph = network._Graph(kb, network._Intervals(kb))
+        nodes = sorted(kb.nodes)
+        positive = {pair for pair in itertools.permutations(nodes, 2) if kb.interval(*pair).lo > 0}
+        informative = {pair for pair in itertools.permutations(nodes, 2)
+                       if kb.interval(*pair) != qualalg.FULL}
+        near = informative | {pair[::-1] for pair in informative}
+        assert 0 < len(positive) < len(near) < len(nodes) * (len(nodes) - 1)
+        triples = {t for t in itertools.permutations(nodes, 3) if {t[:2], t[1:]} <= near}
+        rotations = {
+            seq for k in (3, 4) for seq in itertools.permutations(nodes, k)
+            if set(zip(seq, seq[1:])) <= positive or set(zip(seq[1:], seq)) <= positive
+        }
+        assert set(graph.triples()) == triples
+        assert set(graph.rotations()) == rotations
+        for pair in itertools.permutations(nodes, 2):
+            edge = {pair, pair[::-1]}
+            if pair in near:  # the engine asks only about an edge that has just narrowed
+                assert set(graph.triples(pair)) == {
+                    t for t in triples if edge & {t[:2], t[1::-1], t[1:], t[:0:-1]}
+                }
+            assert set(graph.rotations(pair)) == {
+                seq for seq in rotations if edge & set(zip(seq, seq[1:] + seq[:1]))
+            }
+
+    @staticmethod
+    def _count_rule_calls(monkeypatch) -> collections.Counter:
+        calls: collections.Counter = collections.Counter()
+        for name in ("syllogism_lower", "bayes_cycle"):
+            rule = getattr(network, name)
+
+            def counted(*args, rule=rule, name=name):
+                calls[name] += 1
+                return rule(*args)
+
+            monkeypatch.setattr(network, name, counted)
+        return calls
+
+    def test_applies_only_contexts_that_can_narrow(self, monkeypatch):
+        # sweeping every context until nothing changes takes 10,080
+        # syllogism and 94,080 cycle-rule calls on this KB
+        calls = self._count_rule_calls(monkeypatch)
+        sat, trace = saturate(parse_kb(CHAIN16))
+        assert len(trace) > 10
+        assert calls["syllogism_lower"] < 1000
+        assert calls["bayes_cycle"] < 1000
+        assert_fixpoint(sat)
+
+    def test_64_class_chain(self, monkeypatch):
+        # 64 classes have about 1.9 M simple cycles of up to four nodes,
+        # but few of them run along edges with positive lower bounds
+        calls = self._count_rule_calls(monkeypatch)
+        sat, _ = saturate(parse_kb(chain_kb(64)))
+        assert sat.interval("c0", "c2").lo > 0.1
+        assert calls["syllogism_lower"] < 5000
+        assert calls["bayes_cycle"] < 5000
+
+    def test_independent_of_the_hash_seed(self):
+        script = (
+            "import sys\n"
+            "from linquant.network import parse_kb, saturate\n"
+            "for text, mode in zip(sys.argv[1:], ('numeric', 'qualitative')):\n"
+            "    sat, trace = saturate(parse_kb(text, mode))\n"
+            "    for f in sat.nodes:\n"
+            "        print([(repr(sat.interval(f, t)), repr(sat.qual(f, t))) for t in sat.nodes])\n"
+            "    print(repr(trace))\n"
+        )
+        src = str(Path(network.__file__).resolve().parents[1])
+        outputs = []
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=seed,
+                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            proc = subprocess.run(
+                [sys.executable, "-c", script, CHAIN16, STUDENTS_KB9],
+                env=env, capture_output=True, text=True, timeout=60, check=True,
+            )
+            outputs.append(proc.stdout)
+        assert "TraceStep" in outputs[0]
+        assert outputs[0] == outputs[1]
 
 
 class TestGBT:
