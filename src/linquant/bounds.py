@@ -106,21 +106,20 @@ def syllogism(inp: SyllogismInput) -> tuple[ProbInterval, ProbInterval]:
 
 
 def bayes_cycle(
-    forward: Sequence[ProbInterval],
-    backward: Sequence[ProbInterval],
-    direct: ProbInterval,
+    forward: Sequence[ProbInterval], backward: Sequence[ProbInterval]
 ) -> ProbInterval:
-    """Refine one edge of a cycle A1..Ak via the product identity.
+    """Propose a range for one edge of a cycle A1..Ak via the product identity.
 
     Both sequences walk the full cycle including the closing pair:
     forward[i] = P(A_{i+1}|A_{i+2}) for i < k-1 and forward[-1] = P(Ak|A1);
     backward[i] = P(A_{i+2}|A_{i+1}) and backward[-1] = P(A1|Ak), which is
-    the edge being refined and is passed authoritatively as `direct` (its
-    slot never enters the products).  The identity
+    the edge being refined (its slot never enters the products).  The identity
 
         P(A1|Ak) = P(Ak|A1) . prod_i P(Ai|Ai+1) / P(Ai+1|Ai)
 
-    gives one refinement per bound; a zero denominator drops that side.
+    gives one bound per side, clipped to [0, 1]; a zero denominator leaves
+    that side vacuous.  The result does not read the edge itself: meeting it
+    with the edge's current range is the caller's step.
     """
     if len(forward) != len(backward) or len(forward) < 2:
         raise ValueError("cycle sequences must have equal length >= 2")
@@ -128,12 +127,9 @@ def bayes_cycle(
     num_lo = math.prod(f.lo for f in forward)
     den_lo = math.prod(b.lo for b in backward[:-1])
     den_hi = math.prod(b.hi for b in backward[:-1])
-    hi = direct.hi if den_lo <= 0.0 else min(direct.hi, num_hi / den_lo)
-    lo = direct.lo if den_hi <= 0.0 else max(direct.lo, num_lo / den_hi)
-    lo = min(lo, 1.0)
-    if lo > hi + 1e-9:
-        raise InconsistentBounds(f"cycle refinement [{lo}, {hi}] is empty")
-    return ProbInterval(lo, max(lo, hi))
+    hi = 1.0 if den_lo <= 0.0 else min(1.0, num_hi / den_lo)
+    lo = 0.0 if den_hi <= 0.0 else min(1.0, num_lo / den_hi)
+    return ProbInterval(lo, hi)
 
 
 @dataclass(frozen=True)

@@ -86,7 +86,6 @@ def cmd_query(args) -> int:
 
 def cmd_robustness(args) -> int:
     report = tables.robustness_sweep(qualalg.SCALE5_LABELS, *args.alpha, args.reference)
-    flip_alphas = [a for a in report.alpha_values if a >= (3 - 5**0.5) / 2]
     payload = {
         "reference_alpha": report.reference_alpha,
         "alpha_values": list(report.alpha_values),
@@ -95,7 +94,7 @@ def cmd_robustness(args) -> int:
         },
         "distinct_changed_tuples": report.distinct_count,
         "changed_tuples": [list(k) for k in report.changed_distinct],
-        "half_product_flip_alphas": flip_alphas,
+        "half_product_flip_alphas": report.half_product_flip_alphas,
     }
     _write(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return 0

@@ -4,14 +4,20 @@ Statements constrain P(to|from) for ordered node pairs, either numerically
 or with a qualitative range over the KB's scale.  Saturation applies the
 syllogism pattern to node triples and the cycle form of Bayes' theorem to
 the rotations of simple cycles of up to four nodes until no edge narrows.
-One engine serves both modes: each rule proposes a candidate for its target
-edge, and one narrowing step meets it into the edge.  The mode only picks
-the domain.  Numeric mode runs the closed forms on intervals, and a move of
-at most 1e-9 is no change, so floating point terminates; a stated label
-range narrows with its edge's interval.  Qualitative mode evaluates the
-same closed forms on the hulls of label ranges and approximates once
-(`tables.eval_extended`), and runs the cycle rule in the label algebra; the
-lattice of ranges is finite, so it terminates exactly.
+One engine serves both modes, and `_domain` picks the mode's domain in one
+place.  The rules only propose: each reads the edges of its context, never
+its target, and returns a candidate for the target.  The domain's `narrow`
+alone meets the candidate into the edge, and an empty meet raises
+`ContradictionError` in both modes.  Numeric mode runs the closed forms on
+intervals, and a move of at most 1e-9 is no change, so floating point
+terminates; a stated label range narrows with its edge's interval.
+Qualitative mode evaluates the same closed forms on the hulls of label
+ranges and approximates once (`tables.eval_extended`), and runs the cycle
+rule in the label algebra; the lattice of ranges is finite, so it
+terminates exactly.  Two label ranges with no common label are no clash
+when they touch at a threshold that both contain (interior labels are
+closed): the value can sit there, so a statement keeps the upper range and
+`narrow` keeps the current one.
 
 The engine is a worklist (AC-3, Mackworth 1977): it applies a rule only to
 contexts that can narrow, and after an edge narrows it queues again only
@@ -33,7 +39,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import qualalg, tables
 from .bounds import SyllogismInput, bayes_cycle, syllogism_lower, syllogism_upper
@@ -97,20 +103,14 @@ class KnowledgeBase:
         return p.approximate(edge.interval)
 
     def copy(self) -> "KnowledgeBase":
-        return KnowledgeBase(
-            self.partition, self.mode, list(self.nodes), dict(self.edges),
-            list(self.queries),
+        return replace(
+            self, nodes=list(self.nodes), edges=dict(self.edges), queries=list(self.queries)
         )
 
-    def informative_edges(self) -> dict[tuple[str, str], Edge]:
-        out = {}
-        for pair, edge in sorted(self.edges.items()):
-            if self.mode == "qualitative":
-                if self.qual(*pair) != self.partition.full_range():
-                    out[pair] = edge
-            elif edge.interval != FULL:
-                out[pair] = edge
-        return out
+    def informative_edges(self) -> list[tuple[str, str]]:
+        """The sorted pairs whose edge says more than the vacuous range of the KB's mode."""
+        domain = _domain(self)
+        return [pair for pair in sorted(self.edges) if domain.informative(domain.read(*pair))]
 
 
 # -- statement ingestion ---------------------------------------------------
@@ -167,9 +167,13 @@ def _constrain(
         interval = interval_new
         if old.qual is not None and qual is not None:
             met = qualalg.meet(qual, old.qual)
-            if met is None:  # ranges with no common label touch at one point, which both must hold
-                below, met = sorted((qual, old.qual), key=lambda q: q.low)
-                _stated(kb, (frm, to), below, interval)
+            if met is None:
+                if not _touch(kb.partition, qual, old.qual):
+                    raise ContradictionError(
+                        f"contradiction on edge {frm} -> {to}: "
+                        f"{kb.partition.name_of(old.qual)} vs {kb.partition.name_of(qual)}"
+                    )
+                met = max(qual, old.qual, key=lambda q: q.low)  # `_stated` keeps its lowest label
             qual = met
         elif qual is None:
             qual = old.qual
@@ -195,6 +199,16 @@ def _stated(kb: KnowledgeBase, pair: tuple[str, str], qual: QRange, interval: Pr
                 f"contradiction on edge {pair[0]} -> {pair[1]}: {p.name_of(qual)} vs {interval}"
             )
     return new
+
+
+def _touch(p: Partition, q1: QRange, q2: QRange) -> bool:
+    """Whether two ranges with no common label meet at a threshold that both contain.
+
+    Interior labels are closed, so two adjacent ones share their threshold,
+    and a distribution whose value sits there satisfies both ranges.
+    """
+    point = p.semantics(q1).intersect(p.semantics(q2))
+    return point is not None and p.covers(q1, point) and p.covers(q2, point)
 
 
 def parse_kb(text: str, mode: str = "numeric") -> KnowledgeBase:
@@ -231,14 +245,6 @@ def simple_cycles(nodes: list[str], max_len: int) -> list[tuple[str, ...]]:
                 if perm[0] < perm[-1]:  # kill reflections
                     out.append((first,) + perm)
     return out
-
-
-def _cycle_rotations(cycle: tuple[str, ...]):
-    m = len(cycle)
-    for direction in (1, -1):
-        seq = cycle if direction == 1 else (cycle[0],) + tuple(reversed(cycle[1:]))
-        for r in range(m):
-            yield tuple(seq[(r + i) % m] for i in range(m))
 
 
 # -- saturation ---------------------------------------------------------------
@@ -299,9 +305,7 @@ class _Intervals:
     def cycle(kb, seq):
         fwd_pairs, bwd_pairs = _cycle_edges(seq)
         new = bayes_cycle(
-            [kb.interval(*pair) for pair in fwd_pairs],
-            [kb.interval(*pair) for pair in bwd_pairs],
-            FULL,
+            [kb.interval(*pair) for pair in fwd_pairs], [kb.interval(*pair) for pair in bwd_pairs]
         )
         return bwd_pairs[-1], (new.lo, new.hi)
 
@@ -314,6 +318,7 @@ class _Labels:
     def __init__(self, kb: KnowledgeBase):
         self.read = kb.qual
         self.show = self.show_candidate = kb.partition.name_of
+        self.partition = kb.partition
         self.full = kb.partition.full_range()
 
     def informative(self, value: QRange) -> bool:
@@ -323,9 +328,10 @@ class _Labels:
     def positive(value: QRange) -> bool:
         return value.low > 0
 
-    @staticmethod
-    def narrow(old: QRange, candidate: QRange) -> QRange | None:
+    def narrow(self, old: QRange, candidate: QRange) -> QRange | None:
         new = qualalg.meet(old, candidate)
+        if new is None:  # no common label: consistent only on a threshold where both touch
+            return old if _touch(self.partition, old, candidate) else None
         return old if new == old else new
 
     @staticmethod
@@ -349,6 +355,11 @@ class _Labels:
         return (seq[-1], seq[0]), gbt_qualitative(kb, seq)
 
 
+def _domain(kb: KnowledgeBase):
+    """The mode's domain: how its edges are read, shown, narrowed and written."""
+    return _Labels(kb) if kb.mode == "qualitative" else _Intervals(kb)
+
+
 def saturate(kb: KnowledgeBase) -> tuple[KnowledgeBase, list[TraceStep]]:
     """Run the syllogism and the cycle rule to a fixpoint; returns a copy and its trace.
 
@@ -363,7 +374,7 @@ def saturate(kb: KnowledgeBase) -> tuple[KnowledgeBase, list[TraceStep]]:
     """
     out = kb.copy()
     trace: list[TraceStep] = []
-    domain = _Labels(out) if kb.mode == "qualitative" else _Intervals(out)
+    domain = _domain(out)
     graph = _Graph(out, domain)
     rules = (("syllogism", domain.syllogism), (domain.cycle_phase, domain.cycle))
     queues = (_Queue(graph.triples()), _Queue(graph.rotations()))
@@ -508,32 +519,22 @@ def _cycle_edges(seq: tuple[str, ...]):
 
 
 def gbt_qualitative(kb: KnowledgeBase, cycle: tuple[str, ...]) -> QRange:
-    """Qualitative cycle update: products first, one truncated quotient.
+    """Qualitative cycle rule: products first, one truncated quotient.
 
-    For the cycle A1..Ak this bounds P(A1|Ak) by
-    qdiv(qmul(P(Ak|A1), P(A1|A2), .., P(Ak-1|Ak)), qmul(P(A2|A1), .., P(Ak|Ak-1)))
-    and merges with the current range via the certainty order.  A
-    denominator that is identically `none` refines nothing.
+    For the cycle A1..Ak this proposes for P(A1|Ak) the range
+    qdiv(qmul(P(Ak|A1), P(A1|A2), .., P(Ak-1|Ak)), qmul(P(A2|A1), .., P(Ak|Ak-1))),
+    or the full range when the denominator is identically `none`, as in
+    `bayes_cycle`.  It does not read P(A1|Ak) itself.
     """
     p = kb.partition
     fwd_pairs, bwd_pairs = _cycle_edges(cycle)
     num = kb.qual(*fwd_pairs[-1])  # reverse edge P(Ak|A1)
     for pair in fwd_pairs[:-1]:
         num = p.qmul(num, kb.qual(*pair))
-    den: QRange | None = None
-    for pair in bwd_pairs[:-1]:
-        q = kb.qual(*pair)
-        den = q if den is None else p.qmul(den, q)
-    assert den is not None
-    old = kb.qual(*bwd_pairs[-1])
-    if den.high == 0:  # a zero denominator drops the refinement, as in bayes_cycle
-        return old
-    ratio = p.qdiv(num, den)
-    lo = max(old.low, ratio.low)
-    hi = min(old.high, ratio.high)
-    if lo > hi:  # vacuous refinement; keep the old range
-        return old
-    return QRange(lo, hi)
+    den = kb.qual(*bwd_pairs[0])
+    for pair in bwd_pairs[1:-1]:
+        den = p.qmul(den, kb.qual(*pair))
+    return p.full_range() if den.high == 0 else p.qdiv(num, den)
 
 
 # -- querying and export -------------------------------------------------------
@@ -548,27 +549,21 @@ def query(kb: KnowledgeBase, frm: str, to: str) -> tuple[ProbInterval, QRange]:
 
 def statements(kb: KnowledgeBase) -> list[str]:
     """Readable rendering of every informative edge."""
-    out = []
-    for (frm, to) in sorted(kb.informative_edges()):
-        if kb.mode == "qualitative":
-            out.append(f"{frm} -> {to} : {kb.partition.name_of(kb.qual(frm, to))}")
-        else:
-            out.append(f"{frm} -> {to} : {kb.interval(frm, to)}")
-    return out
+    domain = _domain(kb)
+    return [
+        f"{frm} -> {to} : {domain.show(domain.read(frm, to))}" for frm, to in kb.informative_edges()
+    ]
 
 
 def derived_statements(
     kb_before: KnowledgeBase, kb_after: KnowledgeBase
 ) -> dict[tuple[str, str], QRange]:
     """Edges that were vacuous at ingestion and are informative after."""
-    full = kb_after.partition.full_range()
-    out = {}
-    for pair in sorted(kb_after.informative_edges()):
-        if kb_before.qual(*pair) == kb_before.partition.full_range():
-            q = kb_after.qual(*pair)
-            if q != full:
-                out[pair] = q
-    return out
+    full = kb_before.partition.full_range()
+    return {
+        pair: kb_after.qual(*pair)
+        for pair in kb_after.informative_edges() if kb_before.qual(*pair) == full
+    }
 
 
 def matrix_csv(kb: KnowledgeBase) -> str:

@@ -170,6 +170,11 @@ class RobustnessReport:
     def distinct_count(self) -> int:
         return len(self.changed_distinct)
 
+    @property
+    def half_product_flip_alphas(self) -> list[float]:
+        """The swept alphas at or past (3 - sqrt 5) / 2, where half * half falls to `few`."""
+        return [a for a in self.alpha_values if a >= (3 - 5**0.5) / 2]
+
 
 _MAX_ALPHAS = 1_000  # tables one robustness sweep may build, about 10 ms each
 

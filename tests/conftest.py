@@ -107,6 +107,13 @@ def conditionals_of(masses: np.ndarray, class_count: int):
     return pcond
 
 
+def cycle_rotations(cycle: tuple[str, ...]):
+    """The rotations A1..Ak of a cycle in both directions, each a context of the cycle rule."""
+    for seq in (cycle, cycle[:1] + cycle[:0:-1]):
+        for r in range(len(seq)):
+            yield seq[r:] + seq[:r]
+
+
 def class_masks(class_count: int) -> list[np.ndarray]:
     """Membership of each atom in each class: atom a lies in class i iff bit i is set."""
     atoms = np.arange(2**class_count)

@@ -37,6 +37,7 @@ from conftest import (
     STUDENTS_NUMERIC,
     STUDENTS_SATURATED,
     certified_range,
+    cycle_rotations,
     random_subinterval,
 )
 
@@ -411,9 +412,11 @@ def test_c11_gbt_negative_results():
     sat, trace = saturate(kb)
     if any(step.phase == "gbt" for step in trace):
         failures.append("cycle phase changed the student knowledge base")
+    domain = network._domain(sat)
     for cycle in simple_cycles(sat.nodes, 4):
-        for seq in network._cycle_rotations(cycle):
-            if gbt_qualitative(sat, seq) != sat.qual(seq[-1], seq[0]):
+        for seq in cycle_rotations(cycle):
+            current = sat.qual(seq[-1], seq[0])
+            if domain.narrow(current, gbt_qualitative(sat, seq)) is not current:
                 failures.append(f"cycle {seq} would still refine after saturation")
     verdict(11, "qualitative cycle-rule limits", failures)
 

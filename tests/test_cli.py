@@ -122,6 +122,25 @@ def test_query_cycle_contradiction(tmp_path, capsys):
     assert chain and all(line.startswith("  ") for line in chain)
 
 
+# P(c2|c1) = none empties the cycle's numerator, so P(c1|c2) must be 0,
+# which the stated [0.1, 0.9] excludes; numeric mode finds it by a syllogism
+CYCLE_CLASH_QUALITATIVE = SCALE7 + """\
+n c2 c1 0.1 0.9
+q c1 c3 few most
+q c1 c2 none
+q c3 c2 most all
+"""
+
+
+@pytest.mark.parametrize("mode", ["numeric", "qualitative"])
+def test_propagate_cycle_contradiction_in_both_modes(tmp_path, capsys, mode):
+    kb = tmp_path / "cycle.kb"
+    kb.write_text(CYCLE_CLASH_QUALITATIVE)
+    assert main(["propagate", str(kb), "--mode", mode, "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("contradiction: gbt " if mode == "qualitative" else "contradiction: ")
+
+
 def test_query_subcommand(tmp_path, capsys):
     kb = tmp_path / "students.kb"
     kb.write_text(STUDENTS_NUMERIC)

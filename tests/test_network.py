@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from linquant import network, qualalg
@@ -28,7 +28,7 @@ from linquant.network import (
 from linquant.oracle import OracleProblem, class_event, solve, solve_events
 from linquant.qualalg import ProbInterval as I
 
-from conftest import STUDENTS_KB7, STUDENTS_KB9, STUDENTS_NUMERIC, conditionals_of
+from conftest import STUDENTS_KB7, STUDENTS_KB9, STUDENTS_NUMERIC, conditionals_of, cycle_rotations
 
 
 class TestIngest:
@@ -68,12 +68,23 @@ class TestIngest:
         (["q a b half", "n a b 0.3 0.4"], "half"),
         (["n a b 0.3 0.4", "q a b half"], "half"),
         (["q a b al-all", "n a b 0.7 0.8"], "al-all"),
+        (["q a b half", "q a b most"], "most"),
     ])
     def test_point_on_threshold_keeps_stated_label(self, p7, lines, label):
         # the point lies on the threshold below the stated label, which contains it
         kb = parse_kb("@partition 0.2 0.4 0.6 0.8\n@labels " + " ".join(p7.labels) + "\n"
                       + "\n".join(lines) + "\n")
         assert kb.qual("a", "b") == p7.range_of(label)
+
+    @pytest.mark.parametrize("lines", [
+        ["q a b none", "q a b al-none"],
+        ["q a b al-all", "q a b all"],
+    ])
+    def test_ranges_touching_at_an_excluded_end(self, p7, lines):
+        # al-none excludes 0 and al-all excludes 1, so neither pair shares a value
+        with pytest.raises(ContradictionError, match="a -> b"):
+            parse_kb("@partition 0.2 0.4 0.6 0.8\n@labels " + " ".join(p7.labels) + "\n"
+                     + "\n".join(lines) + "\n")
 
     def test_contradictory_reingest(self, p7):
         kb = KnowledgeBase(p7, "numeric")
@@ -206,12 +217,15 @@ def _stated_by_form(p, frm: str, to: str, v: Fraction, form: int) -> str:
     return f"q {frm} {to} {p.labels[label]}"
 
 
+@pytest.mark.parametrize("mode", ["numeric", "qualitative"])
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(
     weights=st.lists(st.integers(0, 3), min_size=8, max_size=8),
     forms=st.lists(st.integers(0, 3), min_size=12, max_size=12),
 )
-def test_kb_of_one_distribution_is_consistent(weights, forms):
+# P(a|b) = 0.6 sits on the threshold that `half` and `most` share, and both contain it
+@example(weights=[0, 0, 0, 0, 0, 0, 2, 3], forms=[1, 1, 1, 1, 3, 1] * 2)
+def test_kb_of_one_distribution_is_consistent(mode, weights, forms):
     # 3 classes with small integer atom weights, so that the conditionals
     # often sit on a threshold of the 7-label scale; two statements per pair,
     # each true of that distribution, so saturation must keep each conditional
@@ -223,7 +237,8 @@ def test_kb_of_one_distribution_is_consistent(weights, forms):
     lines = [_stated_by_form(p, names[f], names[t], pcond(t, f), form)
              for (f, t), form in zip(pairs + pairs, forms)]
     sat, _ = saturate(parse_kb(
-        "@partition 0.2 0.4 0.6 0.8\n@labels " + " ".join(p.labels) + "\n" + "\n".join(lines) + "\n"
+        "@partition 0.2 0.4 0.6 0.8\n@labels " + " ".join(p.labels) + "\n" + "\n".join(lines) + "\n",
+        mode,
     ))
     for f, t in pairs:
         v = float(pcond(t, f))
@@ -394,10 +409,9 @@ def chain_kb(n: int) -> str:
 
 def assert_fixpoint(sat: KnowledgeBase) -> None:
     """One more pass of both rules over every context narrows no edge."""
-    domain = network._Labels(sat) if sat.mode == "qualitative" else network._Intervals(sat)
+    domain = network._domain(sat)
     nodes = sorted(sat.nodes)
-    cycles = simple_cycles(nodes, 4)
-    rotations = itertools.chain.from_iterable(map(network._cycle_rotations, cycles))
+    rotations = itertools.chain.from_iterable(map(cycle_rotations, simple_cycles(nodes, 4)))
     for rule, contexts in ((domain.syllogism, itertools.permutations(nodes, 3)),
                            (domain.cycle, rotations)):
         for context in contexts:
@@ -449,7 +463,7 @@ class TestWorklist:
         # can narrow and read that edge, and the first queue is every context
         # that can narrow
         kb = list(random_numeric_kbs(2))[1]
-        graph = network._Graph(kb, network._Intervals(kb))
+        graph = network._Graph(kb, network._domain(kb))
         nodes = sorted(kb.nodes)
         positive = {pair for pair in itertools.permutations(nodes, 2) if kb.interval(*pair).lo > 0}
         informative = {pair for pair in itertools.permutations(nodes, 2)
@@ -562,10 +576,11 @@ class TestGBT:
         kb = parse_kb(STUDENTS_KB7, mode="qualitative")
         sat, trace = saturate(kb)
         assert all(step.phase != "gbt" for step in trace)
+        domain = network._domain(sat)
         for cycle in simple_cycles(sat.nodes, 4):
-            for seq in network._cycle_rotations(cycle):
-                target = (seq[-1], seq[0])
-                assert gbt_qualitative(sat, seq) == sat.qual(*target)
+            for seq in cycle_rotations(cycle):
+                current = sat.qual(seq[-1], seq[0])
+                assert domain.narrow(current, gbt_qualitative(sat, seq)) is current
 
 
 class TestQuery:
