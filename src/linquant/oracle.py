@@ -12,21 +12,23 @@ formulas.  The fractional objective P(to^from)/P(from) is handled by the
 usual normalisation: optimise over y = x / P(from) with sum(y over from) = 1,
 which sweeps exactly the distributions giving `from` positive mass.  If no
 such distribution exists the target is unconstrained and [0, 1] is returned.
-The LP is the only path: there is no fallback, and an answer is as exact as
-the HiGHS solver.
+The LP is the only path: there is no fallback.
+
+Two solvers answer it.  `solve_small`, a two-phase simplex in plain
+Python floats, takes up to four classes (16 atoms); `solve` and
+`run_check` use it.  `solve_events` hands any class count to scipy's
+HiGHS and is the reference the tests hold `solve_small` to; it imports
+numpy and scipy only when called, so importing this module loads neither.
 
 `run_check` certifies the syllogism closed forms and the Adams rules
-against the LP; it backs the `check` subcommand, the only one that needs
-scipy.
+against `solve_small`; it backs the `check` subcommand.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from typing import Sequence
-
-import numpy as np
-from scipy.optimize import linprog
 
 from . import adams
 from .bounds import SyllogismInput, syllogism
@@ -85,80 +87,186 @@ def merged_pair_intervals(
     return merged
 
 
-def solve_events(
+def _lp_rows(
     class_count: int,
     constraints: Sequence[tuple[Event, Event, ProbInterval]],
     target: tuple[Event, Event],
-) -> OracleResult:
-    """Min/max of P(u|v) for events over the 2**class_count atoms."""
+) -> tuple[list[list[float]], list[float], list[float]] | None:
+    """(rows, norm, obj) of the LP over atom masses, or None if a pair clashes.
+
+    Each constraint P(u|v) in [l, h] gives the rows l.x(v) - x(u^v) <= 0
+    and x(u^v) - h.x(v) <= 0; `norm` is the scaling x(target v) = 1 and
+    `obj` the mass x(target u ^ target v).
+    """
     merged = merged_pair_intervals(constraints)
     if merged is None:
-        return OracleResult(ProbInterval(0.0, 1.0), "inconsistent")
+        return None
     n = 2**class_count
-    rows, rhs = [], []
+    rows = []
     for (v, u), ival in merged.items():
-        lo_row = np.zeros(n)
-        hi_row = np.zeros(n)
+        lo_row = [0.0] * n
+        hi_row = [0.0] * n
         for a in v:
             lo_row[a] += ival.lo
             hi_row[a] -= ival.hi
         for a in u & v:
             lo_row[a] -= 1.0
             hi_row[a] += 1.0
-        rows.extend((lo_row, hi_row))
-        rhs.extend((0.0, 0.0))
+        rows += (lo_row, hi_row)
     t_u, t_v = target
-    norm = np.zeros(n)
-    for a in t_v:
-        norm[a] = 1.0
-    obj = np.zeros(n)
-    for a in t_u & t_v:
-        obj[a] = 1.0
-    a_ub = np.array(rows) if rows else None
-    b_ub = np.array(rhs) if rhs else None
+    norm = [float(a in t_v) for a in range(n)]
+    obj = [float(a in t_u and a in t_v) for a in range(n)]
+    return rows, norm, obj
+
+
+def _ok(lo: float, hi: float) -> OracleResult:
+    return OracleResult(ProbInterval(min(max(lo, 0.0), 1.0), min(max(hi, 0.0), 1.0)), "ok")
+
+
+_INCONSISTENT = OracleResult(ProbInterval(0.0, 1.0), "inconsistent")
+_UNCONSTRAINED = OracleResult(ProbInterval(0.0, 1.0), "unconstrained")
+
+
+def solve_events(
+    class_count: int,
+    constraints: Sequence[tuple[Event, Event, ProbInterval]],
+    target: tuple[Event, Event],
+) -> OracleResult:
+    """Min/max of P(u|v) for events over the 2**class_count atoms, by HiGHS."""
+    import numpy as np
+    from scipy.optimize import linprog
+
+    lp = _lp_rows(class_count, constraints, target)
+    if lp is None:
+        return _INCONSISTENT
+    rows, norm, obj = lp
     vals = []
     for sign in (1.0, -1.0):
         res = linprog(
-            sign * obj,
-            A_ub=a_ub,
-            b_ub=b_ub,
-            A_eq=norm.reshape(1, -1),
+            sign * np.array(obj),
+            A_ub=np.array(rows) if rows else None,
+            b_ub=np.zeros(len(rows)) if rows else None,
+            A_eq=np.array([norm]),
             b_eq=[1.0],
             bounds=(0.0, None),
             method="highs",
         )
         if not res.success:
-            return OracleResult(ProbInterval(0.0, 1.0), "unconstrained")
-        vals.append(float(np.clip(sign * res.fun, 0.0, 1.0)))
-    lo, hi = min(vals), max(vals)
-    return OracleResult(ProbInterval(lo, hi), "ok")
+            return _UNCONSTRAINED
+        vals.append(float(sign * res.fun))
+    return _ok(min(vals), max(vals))
+
+
+# -- the small exact solver ------------------------------------------------------
+
+_EPS = 1e-9  # pivot and reduced-cost tolerance of the simplex
+
+
+def _pivot(tab: list[list[float]], r: int, s: int) -> None:
+    """Exchange the basic variable of row r with the nonbasic one of column s.
+
+    `tab` is a condensed tableau: row i reads basic_i + sum_j tab[i][j].x_j =
+    tab[i][-1] over the nonbasic x_j, and an objective row z = z0 + sum_j
+    d_j.x_j is stored as [d_0, ..., -z0], so one update serves both.
+    """
+    prow = tab[r]
+    p = prow[s]
+    prow[:] = [x / p for x in prow]
+    prow[s] = 1.0 / p
+    for i, row in enumerate(tab):
+        f = row[s]
+        if i != r and f != 0.0:
+            row[:] = [x - f * y for x, y in zip(row, prow)]
+            row[s] = -f / p
+
+
+def _minimise(tab: list[list[float]], basis: list[int], cols: list[int], m: int, z: int) -> None:
+    """Pivot by Bland's rule until objective row z has no negative reduced cost.
+
+    Rows 0..m-1 are constraints.  Bland's rule (lowest variable index enters;
+    among tied ratios the lowest leaves) cannot cycle, which matters here:
+    every inequality row has right-hand side 0, so most pivots are degenerate.
+    """
+    zrow = tab[z]
+    while True:
+        enter = [j for j, d in enumerate(zrow[:-1]) if d < -_EPS]
+        if not enter:
+            return
+        s = min(enter, key=cols.__getitem__)
+        ratios = [(tab[i][-1] / tab[i][s], i) for i in range(m) if tab[i][s] > _EPS]
+        least = min(ratio for ratio, _ in ratios)
+        r = min((i for ratio, i in ratios if ratio <= least + _EPS), key=basis.__getitem__)
+        _pivot(tab, r, s)
+        basis[r], cols[s] = cols[s], basis[r]
+
+
+_MAX_CLASSES = 4  # of `solve_small`
+
+
+def solve_small(
+    class_count: int,
+    constraints: Sequence[tuple[Event, Event, ProbInterval]],
+    target: tuple[Event, Event],
+) -> OracleResult:
+    """`solve_events` for up to four classes, by a two-phase simplex in plain floats.
+
+    Variables are the atom masses 0..n-1, one slack per inequality row and
+    one artificial for the scaling row.  The rows are homogeneous, so phase
+    1 (minimise the artificial) ends at 0 if some model gives the target's
+    condition mass and at 1 if none does.  Phase 2 then minimises the
+    target mass, and from that basis maximises it.  Past four classes it is
+    slower than HiGHS and its float pivots can drift from the optimum, so
+    larger inputs are refused.
+    """
+    if class_count > _MAX_CLASSES:
+        raise ValueError(f"solve_small takes at most {_MAX_CLASSES} classes")
+    lp = _lp_rows(class_count, constraints, target)
+    if lp is None:
+        return _INCONSISTENT
+    rows, norm, obj = lp
+    n, m = len(norm), len(rows) + 1
+    tab = [row + [0.0] for row in rows]
+    tab += [norm + [1.0], [-x for x in norm] + [-1.0], obj + [0.0], [-x for x in obj] + [0.0]]
+    cols, basis = list(range(n)), list(range(n, n + m))
+    _minimise(tab, basis, cols, m, m)
+    if -tab[m][-1] > 0.5:
+        return _UNCONSTRAINED
+    # Only the scaling row has a nonzero right-hand side, so every phase-1
+    # pivot is degenerate but the last, in which the artificial leaves.
+    s = cols.index(n + m - 1)
+    for row in tab:  # it must not enter again
+        row[s] = 0.0
+    _minimise(tab, basis, cols, m, m + 1)
+    lo = -tab[m + 1][-1]
+    _minimise(tab, basis, cols, m, m + 2)
+    return _ok(lo, tab[m + 2][-1])
 
 
 def solve(problem: OracleProblem) -> OracleResult:
-    """`solve_events` on the class events of a class-pair problem."""
+    """`solve_small` on the class events of a class-pair problem."""
     k = problem.class_count
     cons = [
         (class_event(k, to), class_event(k, frm), ival)
         for frm, to, ival in problem.constraints
     ]
     frm, to = problem.target
-    return solve_events(k, cons, (class_event(k, to), class_event(k, frm)))
+    return solve_small(k, cons, (class_event(k, to), class_event(k, frm)))
 
 
 # -- certification of the closed forms -----------------------------------------
 
 
-def _random_interval(rng, precise: bool) -> ProbInterval:
+def _random_interval(rng: random.Random, precise: bool) -> ProbInterval:
     if precise:
-        x = float(rng.uniform(0.05, 0.95))
+        x = rng.uniform(0.05, 0.95)
         return ProbInterval(x, x)
-    a, b = sorted(rng.uniform(0.0, 1.0, size=2))
-    return ProbInterval(float(a), float(b))
+    a, b = sorted((rng.random(), rng.random()))
+    return ProbInterval(a, b)
 
 
 def run_check(n: int, seed: int) -> dict:
     """Soundness/tightness comparison against the LP oracle plus rule checks."""
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     report = {
         "n": n,
         "seed": seed,
@@ -195,7 +303,7 @@ def run_check(n: int, seed: int) -> dict:
     if n > 0:
         report["adams"] = {}
         for name, bound, constraints, target in adams_oracle_problems(0.3):
-            res = solve_events(3, constraints, target)
+            res = solve_small(3, constraints, target)
             report["adams"][name] = {
                 "bound": round(bound, 9),
                 "oracle_min": round(res.interval.lo, 9),

@@ -332,11 +332,15 @@ def test_any_kb_ends_in_a_status(lines, header, mode, query):
         assert err.getvalue().startswith(("error: ", "contradiction: "))
 
 
-def test_cli_import_loads_no_scipy():
+def test_cli_import_loads_no_scipy(tmp_path):
+    # nor does `check`, whose LPs the plain-Python simplex solves
     src = str(Path(linquant.__file__).resolve().parent.parent)
-    probe = "import sys, linquant.cli; print('scipy' in sys.modules)"
-    done = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
-        env={**os.environ, "PYTHONPATH": src},
-    )
-    assert done.stdout.strip() == "False"
+    out = tmp_path / "check.json"
+    for run in ("", f"linquant.cli.main(['check', '--n', '2', '--out', {str(out)!r}]); "):
+        probe = f"import sys, linquant.cli; {run}print(sorted({{'scipy', 'numpy'}} & set(sys.modules)))"
+        done = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert done.stdout.strip() == "[]"
+    assert json.loads(out.read_text())["max_soundness_violation"] == 0.0

@@ -1,9 +1,20 @@
-"""LP oracle; its answers are checked against primal-dual optimality certificates."""
+"""LP oracle; its answers are checked against primal-dual optimality certificates.
+
+`solve` and `solve_small` run the plain-Python simplex; `solve_events`
+runs HiGHS, the reference for every status and for the Adams problems.
+"""
 
 import numpy as np
 import pytest
 
-from linquant.oracle import OracleProblem, class_event, solve, solve_events
+from linquant.oracle import (
+    OracleProblem,
+    adams_oracle_problems,
+    class_event,
+    solve,
+    solve_events,
+    solve_small,
+)
 from linquant.qualalg import ProbInterval as I
 
 from conftest import certified_range, class_masks, conditionals_of
@@ -33,6 +44,27 @@ def random_problem(rng: np.random.Generator, trial: int) -> OracleProblem:
     return OracleProblem(k, cons, target), masses
 
 
+# box endpoints of the grid certification; the 0 and 1 ends make degenerate LPs
+GRID = (0.0, 0.1, 0.2, 0.3, 0.5, 0.7, 0.8, 0.9, 1.0)
+
+
+def grid_problem(rng: np.random.Generator) -> OracleProblem:
+    """The syllogism's 3-class LP on four boxes with endpoints on GRID."""
+    box = [I(*sorted(float(x) for x in rng.choice(GRID, 2))) for _ in range(4)]
+    return OracleProblem(3, [(0, 1, box[0]), (1, 0, box[1]), (1, 2, box[2]), (2, 1, box[3])], (0, 2))
+
+
+def highs(problem: OracleProblem):
+    """`solve_events` on the same class events as `solve`."""
+    k = problem.class_count
+    frm, to = problem.target
+    return solve_events(
+        k,
+        [(class_event(k, t), class_event(k, f), ival) for f, t, ival in problem.constraints],
+        (class_event(k, to), class_event(k, frm)),
+    )
+
+
 def certified(k: int, cons, target) -> tuple[float, float]:
     """`certified_range` of a class-pair problem, its events built from class bitmasks."""
     masks = class_masks(k)
@@ -43,9 +75,10 @@ def certified(k: int, cons, target) -> tuple[float, float]:
 
 
 def test_unconstrained_target_is_full():
-    res = solve(OracleProblem(3, [], (0, 2)))
-    assert res.ok
-    assert (res.interval.lo, res.interval.hi) == (0.0, 1.0)
+    problem = OracleProblem(3, [], (0, 2))
+    for res in (solve(problem), highs(problem)):
+        assert res.ok
+        assert (res.interval.lo, res.interval.hi) == (0.0, 1.0)
 
 
 def test_worked_point_inputs():
@@ -116,8 +149,9 @@ def test_inconsistent_same_pair():
         (class_event(3, 1), class_event(3, 0), I(0.2, 0.3)),
         (class_event(3, 1), class_event(3, 0), I(0.5, 0.6)),
     ]
-    res2 = solve_events(3, cons, (class_event(3, 2), class_event(3, 0)))
-    assert res2.status == "inconsistent"
+    for solver in (solve_small, solve_events):
+        res2 = solver(3, cons, (class_event(3, 2), class_event(3, 0)))
+        assert res2.status == "inconsistent"
 
 
 def test_forced_zero_mass_is_unconstrained():
@@ -125,19 +159,31 @@ def test_forced_zero_mass_is_unconstrained():
     # leaving any conditional on A free by convention
     everything = frozenset(range(4))
     cons = [(everything, class_event(2, 0), I(0.0, 0.0))]
-    res = solve_events(2, cons, (class_event(2, 1), class_event(2, 0)))
-    assert res.status == "unconstrained"
-    assert (res.interval.lo, res.interval.hi) == (0.0, 1.0)
+    for solver in (solve_small, solve_events):
+        res = solver(2, cons, (class_event(2, 1), class_event(2, 0)))
+        assert res.status == "unconstrained"
+        assert (res.interval.lo, res.interval.hi) == (0.0, 1.0)
 
 
 def test_lp_answers_are_certified():
     rng = np.random.default_rng(14)
-    for trial in range(50):
-        problem, _ = random_problem(rng, trial)
+    problems = [random_problem(rng, trial)[0] for trial in range(50)]
+    problems += [grid_problem(rng) for _ in range(200)]
+    for problem in problems:
         lp = solve(problem)
-        lo, hi = certified(problem.class_count, problem.constraints, problem.target)
-        assert lp.ok
-        assert abs(lp.interval.lo - lo) <= 1e-7 and abs(lp.interval.hi - hi) <= 1e-7
+        assert lp.status == highs(problem).status
+        if lp.ok:  # else no model gives the target's condition mass
+            lo, hi = certified(problem.class_count, problem.constraints, problem.target)
+            assert abs(lp.interval.lo - lo) <= 1e-7 and abs(lp.interval.hi - hi) <= 1e-7
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.2, 0.3])
+def test_adams_problems_match_highs(alpha):
+    for name, _, constraints, target in adams_oracle_problems(alpha):
+        small, ref = solve_small(3, constraints, target), solve_events(3, constraints, target)
+        assert small.ok and ref.ok, name
+        assert abs(small.interval.lo - ref.interval.lo) <= 1e-7, name
+        assert abs(small.interval.hi - ref.interval.hi) <= 1e-7, name
 
 
 @pytest.mark.parametrize("k", [5, 6])
@@ -161,3 +207,5 @@ def test_class_count_validation():
         OracleProblem(5, [], (0, 1))
     with pytest.raises(ValueError):
         OracleProblem(3, [(0, 1, I(0, 1)), (0, 1, I(0, 0.5))], (0, 2))
+    with pytest.raises(ValueError):
+        solve_small(5, [], (class_event(5, 1), class_event(5, 0)))
