@@ -31,10 +31,9 @@ form for the typicality special case P(B|A) = P(B|C) = 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
-from .qualalg import ProbInterval
+from .qualalg import ProbInterval, Value
 
 COND_TOL = 1e-12
 
@@ -43,8 +42,7 @@ class InconsistentBounds(ValueError):
     """Lower bound exceeded upper bound: the inputs are contradictory."""
 
 
-@dataclass(frozen=True)
-class SyllogismInput:
+class SyllogismInput(NamedTuple):
     """Interval constraints on the four conditionals linking A, B, C."""
 
     b_given_a: ProbInterval
@@ -132,16 +130,16 @@ def bayes_cycle(
     return ProbInterval(lo, hi)
 
 
-@dataclass(frozen=True)
-class TypicalityInput:
+class TypicalityInput(Value):
     """P(A|B) = t, P(C|B) = alpha with P(B|A) = P(B|C) = 1."""
 
-    t: float
-    alpha: float
+    __slots__ = ("t", "alpha")
 
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.t <= 1.0 and 0.0 <= self.alpha <= 1.0):
+    def __init__(self, t: float, alpha: float) -> None:
+        if not (0.0 <= t <= 1.0 and 0.0 <= alpha <= 1.0):
             raise ValueError("typicality inputs must lie in [0, 1]")
+        self.t = t
+        self.alpha = alpha
 
 
 def typicality_bounds(inp: TypicalityInput) -> ProbInterval:

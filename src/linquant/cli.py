@@ -5,6 +5,10 @@ one `error:` line on stderr and exit status 1, a contradiction in one
 `contradiction:` line followed by its chain, and a bad command line in
 argparse's usage error with status 2.  Any other exception is a bug and
 keeps its traceback.
+
+Each subcommand imports the modules it runs when it runs, so a process
+loads only those: `tables` and `robustness` never load the saturation
+engine, and `check` loads neither it nor the tables.
 """
 
 from __future__ import annotations
@@ -14,10 +18,10 @@ import json
 import sys
 from pathlib import Path
 
-from . import network, qualalg, tables
+from . import qualalg
 
 _INPUT_ERRORS = (
-    OSError, UnicodeDecodeError, qualalg.ConfigError, qualalg.PartitionError, network.UnknownNode
+    OSError, UnicodeDecodeError, qualalg.ConfigError, qualalg.PartitionError, qualalg.UnknownNode
 )
 
 
@@ -33,6 +37,8 @@ def _write(path: str | None, text: str) -> None:
 
 
 def cmd_tables(args) -> int:
+    from . import tables
+
     table = tables.gen_table(qualalg.parse_partition_config(_read(args.config)))
     out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)
@@ -43,6 +49,8 @@ def cmd_tables(args) -> int:
 
 
 def _query_json(kb, pairs) -> str:
+    from . import network
+
     payload = {}
     for frm, to in pairs:
         ival, qual = network.query(kb, frm, to)
@@ -56,6 +64,8 @@ def _query_json(kb, pairs) -> str:
 
 
 def cmd_propagate(args) -> int:
+    from . import network
+
     kb = network.parse_kb(_read(args.kb), mode=args.mode)
     saturated, _ = network.saturate(kb)
     out = Path(args.out or ".")
@@ -79,12 +89,16 @@ def cmd_propagate(args) -> int:
 
 
 def cmd_query(args) -> int:
+    from . import network
+
     saturated, _ = network.saturate(network.parse_kb(_read(args.kb), mode=args.mode))
     _write(args.out, _query_json(saturated, [(args.frm, args.to)]))
     return 0
 
 
 def cmd_robustness(args) -> int:
+    from . import tables
+
     report = tables.robustness_sweep(qualalg.SCALE5_LABELS, *args.alpha, args.reference)
     payload = {
         "reference_alpha": report.reference_alpha,
@@ -101,7 +115,7 @@ def cmd_robustness(args) -> int:
 
 
 def cmd_check(args) -> int:
-    from . import oracle  # only `check` pays for importing the oracle (about 4 ms)
+    from . import oracle
 
     report = oracle.run_check(args.n, args.seed)
     _write(args.out, json.dumps(report, indent=2, sort_keys=True) + "\n")
@@ -160,7 +174,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except network.ContradictionError as exc:
+    except qualalg.ContradictionError as exc:
         print(f"contradiction: {exc}", file=sys.stderr)
         for step in exc.chain:
             print(f"  {step.phase} {step.context}: {step.edge} "

@@ -39,33 +39,22 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 from . import qualalg, tables
 from .bounds import SyllogismInput, bayes_cycle, syllogism_lower, syllogism_upper
-from .qualalg import FULL, TOL, Partition, ProbInterval, QRange, strip_comment
+from .qualalg import (
+    FULL, TOL, ContradictionError, Partition, ProbInterval, QRange, UnknownNode, Value, strip_comment,
+)
 from .tables import SyllogismTable, eval_extended
 
 
-class ContradictionError(ValueError):
-    def __init__(self, message: str, chain: list["TraceStep"] | None = None):
-        super().__init__(message)
-        self.chain = chain or []
-
-
-class UnknownNode(KeyError):
-    def __str__(self) -> str:
-        return f"unknown node {self.args[0]!r}"
-
-
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     interval: ProbInterval
     qual: QRange | None = None
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(NamedTuple):
     phase: str  # "syllogism" | "bayes" | "gbt"
     context: tuple
     edge: tuple[str, str]
@@ -73,13 +62,20 @@ class TraceStep:
     after: str
 
 
-@dataclass
-class KnowledgeBase:
-    partition: Partition
-    mode: str = "numeric"  # or "qualitative"
-    nodes: list[str] = field(default_factory=list)
-    edges: dict[tuple[str, str], Edge] = field(default_factory=dict)
-    queries: list[tuple[str, str]] = field(default_factory=list)
+class KnowledgeBase(Value):
+    """Nodes, the edges between them, and the queries; the containers are the KB's own."""
+
+    __slots__ = ("partition", "mode", "nodes", "edges", "queries")
+    __hash__ = None  # its containers change
+
+    def __init__(
+        self, partition: Partition, mode: str = "numeric", nodes=(), edges=(), queries=()
+    ) -> None:
+        self.partition = partition
+        self.mode = mode  # or "qualitative"
+        self.nodes: list[str] = list(nodes)
+        self.edges: dict[tuple[str, str], Edge] = dict(edges)
+        self.queries: list[tuple[str, str]] = list(queries)
 
     def add_node(self, name: str) -> None:
         if name not in self.nodes:
@@ -103,9 +99,7 @@ class KnowledgeBase:
         return p.approximate(edge.interval)
 
     def copy(self) -> "KnowledgeBase":
-        return replace(
-            self, nodes=list(self.nodes), edges=dict(self.edges), queries=list(self.queries)
-        )
+        return KnowledgeBase(self.partition, self.mode, self.nodes, self.edges, self.queries)
 
     def informative_edges(self) -> list[tuple[str, str]]:
         """The sorted pairs whose edge says more than the vacuous range of the KB's mode."""

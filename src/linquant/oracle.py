@@ -27,23 +27,21 @@ against `solve_small`; it backs the `check` subcommand.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import adams
 from .bounds import SyllogismInput, syllogism
-from .qualalg import ProbInterval
+from .qualalg import ProbInterval, Value
 
 Event = frozenset  # of atom indices
 
 
-@dataclass(frozen=True)
-class OracleProblem:
-    class_count: int
-    constraints: tuple[tuple[int, int, ProbInterval], ...]
-    target: tuple[int, int]
+class OracleProblem(Value):
+    """Interval constraints (frm, to, P(to|frm)) on class pairs, and the target pair."""
 
-    def __init__(self, class_count, constraints, target):
+    __slots__ = ("class_count", "constraints", "target")
+
+    def __init__(self, class_count: int, constraints, target) -> None:
         if not 2 <= class_count <= 4:
             raise ValueError("class_count must be 2..4")
         seen = set()
@@ -51,13 +49,12 @@ class OracleProblem:
             if (frm, to) in seen:
                 raise ValueError(f"duplicate constraint pair ({frm}, {to})")
             seen.add((frm, to))
-        object.__setattr__(self, "class_count", class_count)
-        object.__setattr__(self, "constraints", tuple(constraints))
-        object.__setattr__(self, "target", tuple(target))
+        self.class_count = class_count
+        self.constraints: tuple[tuple[int, int, ProbInterval], ...] = tuple(constraints)
+        self.target: tuple[int, int] = tuple(target)
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(NamedTuple):
     interval: ProbInterval
     status: str  # "ok" | "unconstrained" | "inconsistent"
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import io
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .bounds import SyllogismInput, syllogism_lower, syllogism_upper
 from .qualalg import Partition, ProbInterval, QRange, ThresholdOutOfRange
@@ -22,8 +22,7 @@ from .qualalg import Partition, ProbInterval, QRange, ThresholdOutOfRange
 Key = tuple[int, int, int, int]
 
 
-@dataclass(frozen=True)
-class SyllogismTable:
+class SyllogismTable(NamedTuple):
     partition: Partition
     entries: dict[Key, QRange]
 
@@ -77,27 +76,26 @@ def q6_of(table: SyllogismTable, q1: int, q2: int, q3: int, q4: int) -> QRange:
 # -- compaction ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CompactGroup:
+class CompactGroup(NamedTuple):
     output: QRange
     patterns: tuple[tuple[QRange, QRange, QRange, QRange], ...]
     size: int
 
 
-def _merge_axis(rows: list[tuple], axis: int) -> list[tuple]:
+Pattern = tuple[tuple[int, int], ...]  # one (low, high) label run per Q1..Q4
+
+
+def _merge_axis(rows: list[Pattern], axis: int) -> list[Pattern]:
     """Merge label runs along one axis among rows identical elsewhere."""
-    order = sorted(rows, key=lambda r: tuple(
-        (r[i].low, r[i].high) for i in (*range(axis), *range(axis + 1, 4))
-    ) + ((r[axis].low, r[axis].high),))
-    merged: list[tuple] = []
-    for row in order:
+    merged: list[Pattern] = []
+    for row in sorted(rows, key=lambda r: r[:axis] + r[axis + 1:] + (r[axis],)):
         if merged:
             prev = merged[-1]
-            same_rest = all(prev[i] == row[i] for i in range(4) if i != axis)
-            if same_rest and prev[axis].high + 1 == row[axis].low:
-                repl = list(prev)
-                repl[axis] = QRange(prev[axis].low, row[axis].high)
-                merged[-1] = tuple(repl)
+            if (
+                prev[:axis] == row[:axis] and prev[axis + 1:] == row[axis + 1:]
+                and prev[axis][1] + 1 == row[axis][0]
+            ):
+                merged[-1] = prev[:axis] + ((prev[axis][0], row[axis][1]),) + prev[axis + 1:]
                 continue
         merged.append(row)
     return merged
@@ -109,19 +107,18 @@ def compact(table: SyllogismTable) -> list[CompactGroup]:
     Lossless: expanding every pattern of every group reproduces the full
     entry map exactly.
     """
-    by_output: dict[QRange, list[tuple]] = {}
+    by_output: dict[tuple[int, int], list[Pattern]] = {}
     for key in sorted(table.entries):
-        row = tuple(QRange(i, i) for i in key)
-        by_output.setdefault(table.entries[key], []).append(row)
+        q5 = table.entries[key]
+        by_output.setdefault((q5.low, q5.high), []).append(tuple(zip(key, key)))
     groups = []
-    for output in sorted(by_output, key=lambda q: (q.low, q.high)):
+    for output in sorted(by_output):
         rows = by_output[output]
         size = len(rows)
         for axis in (3, 2, 1, 0):
             rows = _merge_axis(rows, axis)
-        groups.append(CompactGroup(output, tuple(sorted(
-            rows, key=lambda r: tuple((q.low, q.high) for q in r)
-        )), size))
+        patterns = tuple(tuple(QRange(*run) for run in row) for row in sorted(rows))
+        groups.append(CompactGroup(QRange(*output), patterns, size))
     groups.sort(key=lambda g: -g.size)
     return groups
 
@@ -161,8 +158,7 @@ def compact_to_markdown(table: SyllogismTable) -> str:
 # -- robustness over the few/half threshold ------------------------------------
 
 
-@dataclass(frozen=True)
-class RobustnessReport:
+class RobustnessReport(NamedTuple):
     reference_alpha: float
     alpha_values: tuple[float, ...]
     changed_per_alpha: dict[float, tuple[Key, ...]]
@@ -178,7 +174,7 @@ class RobustnessReport:
         return [a for a in self.alpha_values if a >= (3 - 5**0.5) / 2]
 
 
-_MAX_ALPHAS = 1_000  # tables one robustness sweep may build, about 3 ms each
+_MAX_ALPHAS = 1_000  # tables one robustness sweep may build, about 4 ms each
 
 
 def robustness_sweep(
@@ -219,8 +215,7 @@ def robustness_sweep(
 # -- extreme-quantifier analytic forms ------------------------------------------
 
 
-@dataclass(frozen=True)
-class CoreRowVerdict:
+class CoreRowVerdict(NamedTuple):
     inputs: tuple[str, str, str, str]
     bound_kind: str  # "upper" | "lower"
     computed: float

@@ -333,14 +333,26 @@ def test_any_kb_ends_in_a_status(lines, header, mode, query):
 
 
 def test_cli_import_loads_no_scipy(tmp_path):
-    # nor does `check`, whose LPs the plain-Python simplex solves
+    # Nor dataclasses, and each subcommand loads only the modules it runs:
+    # `check` solves its LPs in plain Python, and only `propagate` and
+    # `query` saturate a KB.
     src = str(Path(linquant.__file__).resolve().parent.parent)
+    cfg = tmp_path / "scale.cfg"
+    cfg.write_text(SCALE5)
     out = tmp_path / "check.json"
-    for run in ("", f"linquant.cli.main(['check', '--n', '2', '--out', {str(out)!r}]); "):
-        probe = f"import sys, linquant.cli; {run}print(sorted({{'scipy', 'numpy'}} & set(sys.modules)))"
+    never = {"scipy", "numpy", "dataclasses", "inspect"}
+    runs = [
+        (None, never),
+        (["tables", str(cfg), "--out", str(tmp_path / "tables")], never | {"linquant.network"}),
+        (["robustness", "--out", str(tmp_path / "robustness.json")], never | {"linquant.network"}),
+        (["check", "--n", "2", "--out", str(out)], never | {"linquant.network", "linquant.tables"}),
+    ]
+    for argv, absent in runs:
+        run = "" if argv is None else f"assert linquant.cli.main({argv!r}) == 0; "
+        probe = f"import sys, linquant.cli; {run}print(sorted({absent!r} & set(sys.modules)))"
         done = subprocess.run(
             [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
             env={**os.environ, "PYTHONPATH": src},
         )
-        assert done.stdout.strip() == "[]"
+        assert done.stdout.splitlines()[-1] == "[]", argv
     assert json.loads(out.read_text())["max_soundness_violation"] == 0.0

@@ -93,6 +93,19 @@ class TestIngest:
             ingest(kb, "n a b 0.5 1")
         assert "a -> b" in str(err.value)
 
+    def test_copy_shares_no_container(self, p7):
+        kb = KnowledgeBase(p7, "numeric")
+        ingest(kb, "n a b 0.2 0.4")
+        ingest(kb, "? a b")
+        dup = kb.copy()
+        assert dup == kb and dup.partition is kb.partition
+        for name in ("nodes", "edges", "queries"):
+            assert getattr(dup, name) is not getattr(kb, name)
+        ingest(dup, "n b c 0.5 0.6")
+        ingest(dup, "? b c")
+        assert dup != kb
+        assert kb.nodes == ["a", "b"] and list(kb.edges) == [("a", "b")] and kb.queries == [("a", "b")]
+
     def test_query_line(self, p7):
         kb = KnowledgeBase(p7, "numeric")
         ingest(kb, "? a b")

@@ -51,6 +51,34 @@ class TestBuildPartition:
             Partition((0.3, 0.7), ("none", "few", "all"))
 
 
+class TestValues:
+    def test_equal_and_hashed_by_value(self):
+        for a, b in ((ProbInterval(0.2, 0.8), ProbInterval(0.2, 0.8)), (QRange(1, 3), QRange(1, 3))):
+            assert a == b and hash(a) == hash(b) and a is not b
+            assert len({a, b}) == 1
+        assert ProbInterval(0.2, 0.8) != ProbInterval(0.2, 0.7)
+        assert QRange(1, 3) != QRange(1, 2)
+
+    def test_equal_only_within_a_type(self):
+        assert ProbInterval(0.0, 1.0) != QRange(0, 1)
+        assert QRange(0, 1) != (0, 1)
+
+    def test_clamped_and_shown(self):
+        i = ProbInterval(-1e-12, 1 + 1e-12)
+        assert (i.lo, i.hi) == (0.0, 1.0)
+        assert repr(i) == "ProbInterval(lo=0.0, hi=1.0)"
+        assert repr(QRange(1, 3)) == "QRange(low=1, high=3)"
+
+    @pytest.mark.parametrize("lo, hi", [(0.6, 0.5), (-0.1, 0.5), (0.5, 1.1)])
+    def test_invalid_interval(self, lo, hi):
+        with pytest.raises(ValueError, match="invalid probability interval"):
+            ProbInterval(lo, hi)
+
+    def test_invalid_range(self):
+        with pytest.raises(ValueError, match="above high"):
+            QRange(3, 2)
+
+
 class TestSemantics:
     def test_few_to_most(self, p7):
         assert p7.semantics(p7.range_of("few", "most")) == ProbInterval(0.2, 0.8)

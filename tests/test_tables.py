@@ -30,6 +30,11 @@ def t5(p5):
     return gen_table(p5)
 
 
+@pytest.fixture(scope="module")
+def t9(p9):
+    return gen_table(p9)
+
+
 def key_of(p, *names):
     return tuple(p.label_index(n) for n in names)
 
@@ -181,9 +186,11 @@ class TestCompact:
         sure = groups[p5.range_of("all")]
         assert sure.size >= 1
 
-    def test_lossless_and_total(self, p5, t5):
-        groups = compact(t5)
-        assert sum(g.size for g in groups) == len(t5.entries)
+    @pytest.mark.parametrize("name", ["t5", "t7", "t9"])
+    def test_lossless_and_total(self, name, request):
+        table = request.getfixturevalue(name)
+        groups = compact(table)
+        assert sum(g.size for g in groups) == len(table.entries)
         rebuilt = {}
         for g in groups:
             for pat in g.patterns:
@@ -194,7 +201,7 @@ class TestCompact:
                                 key = (k1, k2, k3, k4)
                                 assert key not in rebuilt
                                 rebuilt[key] = g.output
-        assert rebuilt == t5.entries
+        assert rebuilt == table.entries
 
     def test_group_count_bounded(self, t5):
         assert len(compact(t5)) <= 625
