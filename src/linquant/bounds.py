@@ -38,10 +38,6 @@ from .qualalg import ProbInterval, Value
 COND_TOL = 1e-12
 
 
-class InconsistentBounds(ValueError):
-    """Lower bound exceeded upper bound: the inputs are contradictory."""
-
-
 class SyllogismInput(NamedTuple):
     """Interval constraints on the four conditionals linking A, B, C."""
 
@@ -77,9 +73,10 @@ def syllogism_upper(inp: SyllogismInput) -> float:
     terms = [1.0]
     if a.lo > 0.0:
         terms.append(1.0 - b.lo * (1.0 - c.hi / a.lo))
-    if a.lo > 0.0 and d.lo > 0.0:
-        terms.append(b.hi * c.hi / (a.lo * d.lo))
-        terms.append(b.hi * (1.0 + c.hi * (1.0 - d.lo) / (a.lo * d.lo)))
+    den = a.lo * d.lo
+    if den > 0.0:  # not `a.lo > 0 and d.lo > 0`: their product can underflow to 0
+        terms.append(b.hi * c.hi / den)
+        terms.append(b.hi * (1.0 + c.hi * (1.0 - d.lo) / den))
     if a.lo > c.hi + COND_TOL:
         den_theta = d.lo * a.lo + c.hi * (1.0 - d.lo)
         if den_theta > COND_TOL:
@@ -92,39 +89,39 @@ def syllogism_upper(inp: SyllogismInput) -> float:
 
 
 def syllogism(inp: SyllogismInput) -> tuple[ProbInterval, ProbInterval]:
-    """Bounds on P(C|A) and on P(A|C)."""
-    out = []
-    for case in (inp, inp.swapped()):
-        lo = syllogism_lower(case)
-        hi = syllogism_upper(case)
-        if lo > hi + 1e-9:
-            raise InconsistentBounds(f"lower {lo} exceeds upper {hi} for {case}")
-        out.append(ProbInterval(lo, max(lo, hi)))
-    return out[0], out[1]
+    """Bounds on P(C|A) and on P(A|C).
+
+    The lower bound never exceeds the upper one by more than rounding
+    (the tests check lo <= hi + 1e-12), and `ProbInterval` closes that gap.
+    """
+    swapped = inp.swapped()
+    return (
+        ProbInterval(syllogism_lower(inp), syllogism_upper(inp)),
+        ProbInterval(syllogism_lower(swapped), syllogism_upper(swapped)),
+    )
 
 
 def bayes_cycle(
     forward: Sequence[ProbInterval], backward: Sequence[ProbInterval]
 ) -> ProbInterval:
-    """Propose a range for one edge of a cycle A1..Ak via the product identity.
+    """Propose a range for the edge P(A1|Ak) of a cycle A1..Ak via the product identity.
 
-    Both sequences walk the full cycle including the closing pair:
     forward[i] = P(A_{i+1}|A_{i+2}) for i < k-1 and forward[-1] = P(Ak|A1);
-    backward[i] = P(A_{i+2}|A_{i+1}) and backward[-1] = P(A1|Ak), which is
-    the edge being refined (its slot never enters the products).  The identity
+    backward[i] = P(A_{i+2}|A_{i+1}) for i < k-1, so it holds one edge
+    fewer and never the target.  The identity
 
         P(A1|Ak) = P(Ak|A1) . prod_i P(Ai|Ai+1) / P(Ai+1|Ai)
 
     gives one bound per side, clipped to [0, 1]; a zero denominator leaves
-    that side vacuous.  The result does not read the edge itself: meeting it
-    with the edge's current range is the caller's step.
+    that side vacuous.  Meeting the result with the edge's current range is
+    the caller's step.
     """
-    if len(forward) != len(backward) or len(forward) < 2:
-        raise ValueError("cycle sequences must have equal length >= 2")
+    if len(backward) != len(forward) - 1 or not backward:
+        raise ValueError("a cycle needs k >= 2 forward edges and k - 1 backward edges")
     num_hi = math.prod(f.hi for f in forward)
     num_lo = math.prod(f.lo for f in forward)
-    den_lo = math.prod(b.lo for b in backward[:-1])
-    den_hi = math.prod(b.hi for b in backward[:-1])
+    den_lo = math.prod(b.lo for b in backward)
+    den_hi = math.prod(b.hi for b in backward)
     hi = 1.0 if den_lo <= 0.0 else min(1.0, num_hi / den_lo)
     lo = 0.0 if den_hi <= 0.0 else min(1.0, num_lo / den_hi)
     return ProbInterval(lo, hi)

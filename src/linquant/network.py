@@ -14,10 +14,11 @@ terminates; a stated label range narrows with its edge's interval.
 Qualitative mode evaluates the same closed forms on the hulls of label
 ranges and approximates once (`tables.eval_extended`), and runs the cycle
 rule in the label algebra; the lattice of ranges is finite, so it
-terminates exactly.  Two label ranges with no common label are no clash
-when they touch at a threshold that both contain (interior labels are
-closed): the value can sit there, so a statement keeps the upper range and
-`narrow` keeps the current one.
+terminates exactly.  What a label means is the scale's business: two
+label ranges with no common label are no clash when `Partition.touch` finds
+a value they share, so a statement keeps the upper range and `narrow` keeps
+the current one, and `Partition.restrict` narrows a stated range to an
+edge's interval.
 
 The engine is a worklist (AC-3, Mackworth 1977): it applies a rule only to
 contexts that can narrow, and after an edge narrows it queues again only
@@ -162,7 +163,7 @@ def _constrain(
         if old.qual is not None and qual is not None:
             met = qualalg.meet(qual, old.qual)
             if met is None:
-                if not _touch(kb.partition, qual, old.qual):
+                if not kb.partition.touch(qual, old.qual):
                     raise ContradictionError(
                         f"contradiction on edge {frm} -> {to}: "
                         f"{kb.partition.name_of(old.qual)} vs {kb.partition.name_of(qual)}"
@@ -177,32 +178,13 @@ def _constrain(
 
 
 def _stated(kb: KnowledgeBase, pair: tuple[str, str], qual: QRange, interval: ProbInterval) -> QRange:
-    """A stated label range narrowed to the labels of the edge's interval.
-
-    The interval lies in the range's hull, so an empty meet with
-    `approximate` leaves one consistent case: a point on the threshold just
-    below the range, which `approximate` puts in the label below, although
-    the range's lowest label contains it too.
-    """
-    p = kb.partition
-    new = qualalg.meet(qual, p.approximate(interval))
+    """A stated label range narrowed to the labels of the edge's interval (`Partition.restrict`)."""
+    new = kb.partition.restrict(qual, interval)
     if new is None:
-        new = QRange(qual.low, qual.low)
-        if not p.covers(new, interval):
-            raise ContradictionError(
-                f"contradiction on edge {pair[0]} -> {pair[1]}: {p.name_of(qual)} vs {interval}"
-            )
+        raise ContradictionError(
+            f"contradiction on edge {pair[0]} -> {pair[1]}: {kb.partition.name_of(qual)} vs {interval}"
+        )
     return new
-
-
-def _touch(p: Partition, q1: QRange, q2: QRange) -> bool:
-    """Whether two ranges with no common label meet at a threshold that both contain.
-
-    Interior labels are closed, so two adjacent ones share their threshold,
-    and a distribution whose value sits there satisfies both ranges.
-    """
-    point = p.semantics(q1).intersect(p.semantics(q2))
-    return point is not None and p.covers(q1, point) and p.covers(q2, point)
 
 
 def parse_kb(text: str, mode: str = "numeric") -> KnowledgeBase:
@@ -251,7 +233,7 @@ _EPS = 1e-9  # numeric mode: a move of at most this is no change
 class _Intervals:
     """Numeric mode: edges hold intervals, and a move of at most `_EPS` is no change.
 
-    A candidate is a (lo, hi) pair; the syllogism may return it inverted.
+    A candidate is a (lo, hi) pair, inverted by at most rounding (lo <= hi + 1e-12).
     """
 
     cycle_phase = "bayes"
@@ -301,7 +283,7 @@ class _Intervals:
         new = bayes_cycle(
             [kb.interval(*pair) for pair in fwd_pairs], [kb.interval(*pair) for pair in bwd_pairs]
         )
-        return bwd_pairs[-1], (new.lo, new.hi)
+        return (seq[-1], seq[0]), (new.lo, new.hi)
 
 
 class _Labels:
@@ -325,7 +307,7 @@ class _Labels:
     def narrow(self, old: QRange, candidate: QRange) -> QRange | None:
         new = qualalg.meet(old, candidate)
         if new is None:  # no common label: consistent only on a threshold where both touch
-            return old if _touch(self.partition, old, candidate) else None
+            return old if self.partition.touch(old, candidate) else None
         return old if new == old else new
 
     @staticmethod
@@ -501,14 +483,13 @@ def gen_table_cached(p: Partition) -> SyllogismTable:
 
 
 def _cycle_edges(seq: tuple[str, ...]):
-    """Edge pairs for a cycle A1..Ak: forward P(Ai|Ai+1), backward P(Ai+1|Ai).
+    """Premise pairs for a cycle A1..Ak whose target is P(A1|Ak).
 
-    Wraparound included: the last forward edge is P(Ak|A1) and the last
-    backward edge is the target P(A1|Ak) itself.
+    Forward P(Ai|Ai+1) for i < k, then P(Ak|A1); backward P(Ai+1|Ai) for
+    i < k, which leaves out the target.
     """
-    k = len(seq)
-    forward = [(seq[(i + 1) % k], seq[i]) for i in range(k)]
-    backward = [(seq[i], seq[(i + 1) % k]) for i in range(k)]
+    forward = [(y, x) for x, y in zip(seq, seq[1:])] + [(seq[0], seq[-1])]
+    backward = list(zip(seq, seq[1:]))
     return forward, backward
 
 
@@ -526,7 +507,7 @@ def gbt_qualitative(kb: KnowledgeBase, cycle: tuple[str, ...]) -> QRange:
     for pair in fwd_pairs[:-1]:
         num = p.qmul(num, kb.qual(*pair))
     den = kb.qual(*bwd_pairs[0])
-    for pair in bwd_pairs[1:-1]:
+    for pair in bwd_pairs[1:]:
         den = p.qmul(den, kb.qual(*pair))
     return p.full_range() if den.high == 0 else p.qdiv(num, den)
 

@@ -19,6 +19,9 @@ Python floats, takes up to four classes (16 atoms); `solve` and
 `run_check` use it.  `solve_events` hands any class count to scipy's
 HiGHS and is the reference the tests hold `solve_small` to; it imports
 numpy and scipy only when called, so importing this module loads neither.
+The float pivots of `solve_small` use a fixed 1e-9 tolerance: on lower
+bounds that are tiny and positive, as saturated KBs carry, it can raise or
+return an unsound range, so it must not be given saturated KBs.
 
 `run_check` certifies the syllogism closed forms and the Adams rules
 against `solve_small`; it backs the `check` subcommand.

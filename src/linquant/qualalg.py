@@ -11,12 +11,15 @@ numerically on the hulls and re-approximated into the coarsest-grained
 covering run.  Endpoint attainability matters here: the hull of (0, t1]
 starts at 0, but 0 itself is not a value of that label, so a product such
 as few * few must come out as few, not [none, few].  The private flagged
-helpers track exactly this.
+helpers track exactly this.  `Partition` is the one table of these
+meanings: the rest of the package asks it, and does no threshold
+arithmetic of its own.
 """
 
 from __future__ import annotations
 
 import operator
+from bisect import bisect_left, bisect_right
 from typing import Iterator, Sequence
 
 TOL = 1e-9
@@ -173,8 +176,10 @@ class Partition:
         self.first_interior = 1
         self.last_interior = self.n_labels - 2
         self.top = self.n_labels - 1  # index of the {1} label
-        # bounds[i-1], bounds[i] delimit interior label i
-        self._bounds = (0.0,) + thresholds + (1.0,)
+        # _lo[i], _hi[i]: the ends of label i's hull, points for the two extreme labels
+        ends = (0.0,) + thresholds + (1.0,)
+        self._lo = (0.0,) + ends[:-1] + (1.0,)
+        self._hi = (0.0,) + ends[1:] + (1.0,)
         self._index = {name: i for i, name in enumerate(labels)}
 
     # -- label bookkeeping ------------------------------------------------
@@ -209,24 +214,10 @@ class Partition:
 
     # -- numeric semantics -------------------------------------------------
 
-    def _hull_lo(self, label: int) -> float:
-        if label == 0:
-            return 0.0
-        if label == self.top:
-            return 1.0
-        return self._bounds[label - 1]
-
-    def _hull_hi(self, label: int) -> float:
-        if label == 0:
-            return 0.0
-        if label == self.top:
-            return 1.0
-        return self._bounds[label]
-
     def semantics(self, q: QRange) -> ProbInterval:
         """Convex hull of the member labels' intervals, closed at both ends."""
         self.validate(q)
-        return ProbInterval(self._hull_lo(q.low), self._hull_hi(q.high))
+        return ProbInterval(self._lo[q.low], self._hi[q.high])
 
     def flagged_semantics(self, q: QRange) -> tuple[float, bool, float, bool]:
         """(lo, lo_attained, hi, hi_attained) of the exact value set of q.
@@ -237,7 +228,7 @@ class Partition:
         self.validate(q)
         lo_att = q.low != self.first_interior
         hi_att = q.high != self.last_interior
-        return self._hull_lo(q.low), lo_att, self._hull_hi(q.high), hi_att
+        return self._lo[q.low], lo_att, self._hi[q.high], hi_att
 
     def covers(self, q: QRange, i: ProbInterval) -> bool:
         """True iff the exact value set of q contains the closed interval i."""
@@ -262,29 +253,46 @@ class Partition:
         return self._approximate(i.lo, True, i.hi, True)
 
     def _approximate(self, lo: float, lo_att: bool, hi: float, hi_att: bool) -> QRange:
-        top = self.top
         if lo <= TOL:
             low = 0 if lo_att else self.first_interior
         elif lo >= 1 - TOL:
-            low = top if lo_att else self.last_interior
+            low = self.top if lo_att else self.last_interior
         else:
-            low = self.first_interior
-            for i in range(2, top):
-                if self._bounds[i - 1] <= lo + TOL:
-                    low = i
+            low = 1 + bisect_right(self.thresholds, lo + TOL)
         if hi >= 1 - TOL:
-            high = top if hi_att else self.last_interior
+            high = self.top if hi_att else self.last_interior
         elif hi <= TOL:
             high = 0 if hi_att else self.first_interior
         else:
-            high = self.last_interior
-            for i in range(self.last_interior - 1, 0, -1):
-                if self._bounds[i] >= hi - TOL:
-                    high = i
+            high = 1 + bisect_left(self.thresholds, hi - TOL)
         if low > high:
             # point on a shared threshold: both adjacent labels contain it
             low = high
         return QRange(low, high)
+
+    def touch(self, q1: QRange, q2: QRange) -> bool:
+        """Whether two ranges with no common label share a value.
+
+        They do exactly when they are adjacent at a threshold between two
+        interior labels: interior labels are closed there, while the first
+        and last interior labels are open at 0 and 1.
+        """
+        below, above = sorted((q1, q2), key=lambda q: q.low)
+        return below.high + 1 == above.low and 0 < below.high and above.low < self.top
+
+    def restrict(self, q: QRange, i: ProbInterval) -> QRange | None:
+        """The labels of q consistent with the interval i, which lies in q's hull.
+
+        `approximate` puts a point on the threshold just below q in the label
+        below, although q's lowest label contains it too; then that label is
+        the answer.  None when no label of q holds i.
+        """
+        new = meet(q, self.approximate(i))
+        if new is None:
+            new = QRange(q.low, q.low)
+            if not self.covers(new, i):
+                return None
+        return new
 
     # -- orderings and lattice ops ------------------------------------------
 
@@ -298,7 +306,7 @@ class Partition:
         return q.high - q.low + 1
 
     def midpoint(self, label: int) -> float:
-        return 0.5 * (self._hull_lo(label) + self._hull_hi(label))
+        return 0.5 * (self._lo[label] + self._hi[label])
 
     # -- qualitative arithmetic ---------------------------------------------
 

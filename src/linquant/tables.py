@@ -33,9 +33,7 @@ class SyllogismTable(NamedTuple):
 def _bounds(h1: ProbInterval, h2: ProbInterval, h3: ProbInterval, h4: ProbInterval) -> ProbInterval:
     """Numeric P(C|A) bounds from the hulls of Q1..Q4."""
     inp = SyllogismInput(b_given_a=h1, a_given_b=h2, c_given_b=h4, b_given_c=h3)
-    lo = syllogism_lower(inp)
-    hi = syllogism_upper(inp)
-    return ProbInterval(lo, max(lo, hi))
+    return ProbInterval(syllogism_lower(inp), syllogism_upper(inp))
 
 
 def _hull_bounds(p: Partition, r1: QRange, r2: QRange, r3: QRange, r4: QRange) -> ProbInterval:

@@ -82,6 +82,14 @@ class TestUpper:
         assert got == pytest.approx(oracle_range(inp).hi, abs=1e-6)
         assert got < 0.4  # the increasing term evaluated at 0.9 no longer binds
 
+    def test_underflowing_denominator(self):
+        # lo(A|B) . lo(B|C) = 1e-400 underflows to 0, so u3 and u4 drop out
+        tiny = SyllogismInput(I(0.5, 0.6), I(1e-200, 0.5), I(0.5, 0.6), I(1e-200, 0.5))
+        assert syllogism_upper(tiny) == 1.0
+        # where the product does not underflow, u3 is the formula as written
+        small = SyllogismInput(I(0.0, 1e-210), I(1e-100, 0.5), I(0.5, 0.6), I(1e-100, 0.5))
+        assert syllogism_upper(small) == 1e-210 * 0.6 / (1e-100 * 1e-100)
+
 
 class TestSyllogism:
     def test_worked_pair(self):
@@ -124,6 +132,20 @@ class TestSyllogism:
             assert ca_out.lo <= ca_in.lo + 1e-12
             assert ca_in.hi <= ca_out.hi + 1e-12
 
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(st.lists(
+        st.tuples(*[st.one_of(
+            st.sampled_from([0.0, 5e-324, 1e-300, 1e-200, 1e-16, 1e-12, 1.0]),
+            st.floats(min_value=0.0, max_value=1.0),
+        )] * 2),
+        min_size=4, max_size=4,
+    ))
+    def test_lower_never_exceeds_upper(self, ends):
+        # why the syllogism needs no guard against an inverted result
+        inp = SyllogismInput(*(I(min(e), max(e)) for e in ends))
+        for case in (inp, inp.swapped()):
+            assert syllogism_lower(case) <= syllogism_upper(case) + 1e-12
+
     def test_sound_against_oracle(self):
         rng = np.random.default_rng(7)
         for _ in range(30):
@@ -147,7 +169,7 @@ class TestSyllogism:
 class TestBayesCycle:
     def test_identity_chain(self):
         one = I(1, 1)
-        got = bayes_cycle([one, one, one], [one, one, one])
+        got = bayes_cycle([one, one, one], [one, one])
         assert (got.lo, got.hi) == (1.0, 1.0)
 
     def test_pins_known_distribution(self):
@@ -158,13 +180,13 @@ class TestBayesCycle:
             fwd_vals = [pcond(0, 1), pcond(1, 2), pcond(2, 0)]
             bwd_vals = [pcond(1, 0), pcond(2, 1), pcond(0, 2)]
             assert math.prod(fwd_vals) / math.prod(bwd_vals) == pytest.approx(1.0, abs=1e-12)
-            got = bayes_cycle([I(v, v) for v in fwd_vals], [I(v, v) for v in bwd_vals])
+            got = bayes_cycle([I(v, v) for v in fwd_vals], [I(v, v) for v in bwd_vals[:-1]])
             assert got.lo == pytest.approx(pcond(0, 2), abs=1e-12)
             assert got.hi == pytest.approx(pcond(0, 2), abs=1e-12)
 
     def test_zero_denominator_drops_refinement(self):
         wide = I(0, 1)
-        got = bayes_cycle([wide, wide, wide], [I(0, 1), I(1, 1), I(0.5, 0.9)])
+        got = bayes_cycle([wide, wide, wide], [I(0, 1), I(1, 1)])
         assert (got.lo, got.hi) == (0.0, 1.0)
 
 

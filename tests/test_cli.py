@@ -122,6 +122,23 @@ def test_query_cycle_contradiction(tmp_path, capsys):
     assert chain and all(line.startswith("  ") for line in chain)
 
 
+TINY_LOWER_BOUNDS = SCALE7 + """\
+n a b 0.5 0.6
+n b a 1e-200 0.5
+n b c 0.5 0.6
+n c b 1e-200 0.5
+"""
+
+
+@pytest.mark.parametrize("mode", ["numeric", "qualitative"])
+def test_propagate_tiny_lower_bounds(tmp_path, capsys, mode):
+    # lo(a|b) . lo(b|c) = 1e-400 underflows to 0 in the syllogism's upper bound
+    kb = tmp_path / "tiny.kb"
+    kb.write_text(TINY_LOWER_BOUNDS)
+    assert main(["propagate", str(kb), "--mode", mode, "--out", str(tmp_path / "out")]) == 0
+    assert "a -> b" in capsys.readouterr().out
+
+
 # P(c2|c1) = none empties the cycle's numerator, so P(c1|c2) must be 0,
 # which the stated [0.1, 0.9] excludes; numeric mode finds it by a syllogism
 CYCLE_CLASH_QUALITATIVE = SCALE7 + """\
@@ -244,6 +261,9 @@ INPUT_ERRORS = {
     "propagate-decreasing": ("propagate", "@partition 0.5 0.3\n@labels none few half most all\n", 1),
     "query-decreasing": ("query", "@partition 0.5 0.3\n@labels none few half most all\n", 1),
     "propagate-empty-partition": ("propagate", "@partition\n@labels none few half most all\n", 2),
+    "propagate-q-field-count": ("propagate", SCALE5 + "q a b few half most\n", 3),
+    "propagate-unknown-kind": ("propagate", SCALE5 + "p a b 0.1 0.2\n", 3),
+    "tables-threshold-outside": ("tables", "@labels none few half most all\n@partition -0.5 1.5\n", 2),
 }
 
 

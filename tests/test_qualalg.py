@@ -1,5 +1,6 @@
 """Scale construction, approximation, orderings, and the product/quotient algebra."""
 
+import itertools
 import math
 
 import pytest
@@ -255,6 +256,14 @@ class TestQuotient:
     def test_half_over_most(self, p5):
         assert p5.qdiv(p5.range_of("half"), p5.range_of("most")) == p5.range_of("half", "all")
 
+    def test_reachable_zero_over_zero(self, p5):
+        # [none, few] can be 0, and 0/0 says nothing
+        assert p5.qdiv(p5.range_of("none"), p5.range_of("none", "few")) == p5.full_range()
+
+    def test_quotient_above_one_truncates(self, p5):
+        # most / few is at least 0.7 / 0.3 > 1
+        assert p5.qdiv(p5.range_of("most"), p5.range_of("few")) == p5.range_of("all")
+
 
 class TestGalois:
     def test_roundtrip_on_value_sets(self, p7):
@@ -273,23 +282,30 @@ class TestGalois:
             q = p7.approximate(i)
             assert p7.semantics(q).contains_interval(i)
 
-    def test_minimality(self, p7):
+    def test_minimality(self, p5, p7, p9):
         import numpy as np
+
+        def assert_minimal(p, i):
+            q = p.approximate(i)
+            assert p.covers(q, i)
+            for other in p.all_ranges():
+                inside = (
+                    other.low >= q.low
+                    and other.high <= q.high
+                    and p.specificity_level(other) < p.specificity_level(q)
+                )
+                if inside:
+                    assert not p.covers(other, i)
 
         rng = np.random.default_rng(2)
         for _ in range(200):
             a, b = sorted(rng.uniform(0, 1, 2))
-            i = ProbInterval(float(a), float(b))
-            q = p7.approximate(i)
-            assert p7.covers(q, i)
-            for other in p7.all_ranges():
-                inside = (
-                    other.low >= q.low
-                    and other.high <= q.high
-                    and p7.specificity_level(other) < p7.specificity_level(q)
-                )
-                if inside:
-                    assert not p7.covers(other, i)
+            assert_minimal(p7, ProbInterval(float(a), float(b)))
+        # ends on and near the thresholds, where TOL = 1e-9 decides the label
+        for p in (p5, p7, p9):
+            points = sorted(t + d for t in p.thresholds for d in (0, 5e-10, -5e-10, 2e-9, -2e-9))
+            for a, b in itertools.combinations_with_replacement(points, 2):
+                assert_minimal(p, ProbInterval(a, b))
 
 
 # hypothesis strategies over symmetric partitions
