@@ -71,7 +71,7 @@ def syllogism_lower(inp: SyllogismInput) -> float:
 def syllogism_upper(inp: SyllogismInput) -> float:
     b, a, c, d = inp.b_given_a, inp.a_given_b, inp.c_given_b, inp.b_given_c
     terms = [1.0]
-    if a.lo > 0.0:
+    if a.lo > 0.0 and b.lo > 0.0:  # with b.lo = 0 the term is 1, and 0 * -inf would be nan
         terms.append(1.0 - b.lo * (1.0 - c.hi / a.lo))
     den = a.lo * d.lo
     if den > 0.0:  # not `a.lo > 0 and d.lo > 0`: their product can underflow to 0

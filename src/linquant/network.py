@@ -8,17 +8,20 @@ One engine serves both modes, and `_domain` picks the mode's domain in one
 place.  The rules only propose: each reads the edges of its context, never
 its target, and returns a candidate for the target.  The domain's `narrow`
 alone meets the candidate into the edge, and an empty meet raises
-`ContradictionError` in both modes.  Numeric mode runs the closed forms on
-intervals, and a move of at most 1e-9 is no change, so floating point
-terminates; a stated label range narrows with its edge's interval.
-Qualitative mode evaluates the same closed forms on the hulls of label
-ranges and approximates once (`tables.eval_extended`), and runs the cycle
-rule in the label algebra; the lattice of ranges is finite, so it
-terminates exactly.  What a label means is the scale's business: two
-label ranges with no common label are no clash when `Partition.touch` finds
-a value they share, so a statement keeps the upper range and `narrow` keeps
-the current one, and `Partition.restrict` narrows a stated range to an
-edge's interval.
+`ContradictionError` in both modes.  `_constrain` alone writes an edge: a
+narrowed value reaches it as a statement (`statement`), met in as a stated
+line is.  Numeric mode runs the closed forms on intervals, and a move of at
+most 1e-9 is no change, so floating point terminates; a stated label range
+narrows with its edge's interval.  Qualitative mode evaluates the same
+closed forms on the hulls of label ranges and approximates once
+(`tables.eval_extended`), and runs the cycle rule in the label algebra; the
+lattice of ranges is finite, so it terminates exactly.  What a label means
+is the scale's business: two label ranges with no common label are no clash
+when `Partition.touch` finds a value they share, so a statement keeps the
+upper range and `narrow` keeps the current one, and `Partition.restrict`
+narrows a stated range to an edge's interval.  A self edge stores nothing:
+P(a|a) = 1, so a statement on one is a clash when it excludes 1, as
+`al-all` does.
 
 The engine is a worklist (AC-3, Mackworth 1977): it applies a rule only to
 contexts that can narrow, and after an edge narrows it queues again only
@@ -124,67 +127,63 @@ def ingest(kb: KnowledgeBase, line: str) -> None:
     if kind == "q":
         if len(fields) not in (4, 5):
             raise ValueError(f"bad qualitative statement: {line!r}")
-        frm, to = fields[1], fields[2]
         qual = kb.partition.range_of(fields[3], fields[4] if len(fields) == 5 else None)
-        _constrain(kb, frm, to, kb.partition.semantics(qual), qual)
+        statement = kb.partition.semantics(qual), qual
     elif kind == "n":
         if len(fields) != 5:
             raise ValueError(f"bad numeric statement: {line!r}")
-        frm, to = fields[1], fields[2]
-        _constrain(kb, frm, to, ProbInterval(float(fields[3]), float(fields[4])), None)
+        statement = ProbInterval(float(fields[3]), float(fields[4])), None
     elif kind == "?":
         if len(fields) != 3:
             raise ValueError(f"bad query: {line!r}")
         kb.queries.append((fields[1], fields[2]))
-        kb.add_node(fields[1])
-        kb.add_node(fields[2])
     else:
         raise ValueError(f"unknown statement kind {kind!r} in {line!r}")
+    kb.add_node(fields[1])
+    kb.add_node(fields[2])
+    if kind != "?":
+        _constrain(kb, fields[1], fields[2], *statement)
 
 
 def _constrain(
     kb: KnowledgeBase, frm: str, to: str, interval: ProbInterval, qual: QRange | None
 ) -> None:
-    kb.add_node(frm)
-    kb.add_node(to)
+    """Meet a statement into the edge frm -> to: the one code that writes an edge.
+
+    A stated range keeps the labels of the edge's interval (`Partition.restrict`);
+    of two that touch at a threshold, the upper one stays.  A self edge must allow 1.
+    """
+    p = kb.partition
+
+    def clash(was, new) -> ContradictionError:
+        return ContradictionError(f"contradiction on edge {frm} -> {to}: {was} vs {new}")
+
     if frm == to:
-        if not interval.contains(1.0):
+        one = ProbInterval(1.0, 1.0)
+        if not interval.contains(1.0) or qual is not None and p.restrict(qual, one) is None:
             raise ContradictionError(f"self edge {frm} must be certain")
         return
     old = kb.edges.get((frm, to))
     if old is not None:
-        interval_new = old.interval.intersect(interval)
-        if interval_new is None:
-            raise ContradictionError(
-                f"contradiction on edge {frm} -> {to}: "
-                f"{old.interval} vs {interval}"
-            )
-        interval = interval_new
-        if old.qual is not None and qual is not None:
+        common = old.interval.intersect(interval)
+        if common is None:
+            raise clash(old.interval, interval)
+        interval = common
+        if qual is None:
+            qual = old.qual
+        elif old.qual is not None:
             met = qualalg.meet(qual, old.qual)
             if met is None:
-                if not kb.partition.touch(qual, old.qual):
-                    raise ContradictionError(
-                        f"contradiction on edge {frm} -> {to}: "
-                        f"{kb.partition.name_of(old.qual)} vs {kb.partition.name_of(qual)}"
-                    )
-                met = max(qual, old.qual, key=lambda q: q.low)  # `_stated` keeps its lowest label
+                if not p.touch(qual, old.qual):
+                    raise clash(p.name_of(old.qual), p.name_of(qual))
+                met = max(qual, old.qual, key=lambda q: q.low)
             qual = met
-        elif qual is None:
-            qual = old.qual
     if qual is not None:
-        qual = _stated(kb, (frm, to), qual, interval)
+        stated = p.restrict(qual, interval)
+        if stated is None:
+            raise clash(p.name_of(qual), interval)
+        qual = stated
     kb.edges[(frm, to)] = Edge(interval, qual)
-
-
-def _stated(kb: KnowledgeBase, pair: tuple[str, str], qual: QRange, interval: ProbInterval) -> QRange:
-    """A stated label range narrowed to the labels of the edge's interval (`Partition.restrict`)."""
-    new = kb.partition.restrict(qual, interval)
-    if new is None:
-        raise ContradictionError(
-            f"contradiction on edge {pair[0]} -> {pair[1]}: {kb.partition.name_of(qual)} vs {interval}"
-        )
-    return new
 
 
 def parse_kb(text: str, mode: str = "numeric") -> KnowledgeBase:
@@ -262,12 +261,8 @@ class _Intervals:
         return ProbInterval(lo, hi)
 
     @staticmethod
-    def write(kb, pair, interval: ProbInterval) -> None:
-        old = kb.edges.get(pair)
-        qual = old.qual if old else None
-        if qual is not None:
-            qual = _stated(kb, pair, qual, interval)
-        kb.edges[pair] = Edge(interval, qual)
+    def statement(new: ProbInterval) -> tuple[ProbInterval, None]:
+        return new, None
 
     @staticmethod
     def syllogism(kb, abc):
@@ -310,13 +305,8 @@ class _Labels:
             return old if self.partition.touch(old, candidate) else None
         return old if new == old else new
 
-    @staticmethod
-    def write(kb, pair, qual: QRange) -> None:
-        interval = kb.partition.semantics(qual)
-        old = kb.edges.get(pair)
-        if old is not None:
-            interval = old.interval.intersect(interval) or interval
-        kb.edges[pair] = Edge(interval, qual)
+    def statement(self, new: QRange) -> tuple[ProbInterval, QRange]:
+        return self.partition.semantics(new), new
 
     @staticmethod
     def syllogism(kb, abc):
@@ -346,7 +336,8 @@ def saturate(kb: KnowledgeBase) -> tuple[KnowledgeBase, list[TraceStep]]:
     runs first and again after every rotation that narrows an edge.  When
     an edge narrows, the contexts that read it are queued again, each at
     most once at a time, in sorted order; saturation ends when both queues
-    are empty.
+    are empty.  A narrowed value reaches its edge through `_constrain`, so a
+    stated range that it leaves no label of is a clash, as at ingestion.
     """
     out = kb.copy()
     trace: list[TraceStep] = []
@@ -369,7 +360,7 @@ def saturate(kb: KnowledgeBase) -> tuple[KnowledgeBase, list[TraceStep]]:
             )
         if new is not old:
             try:
-                domain.write(out, target, new)
+                _constrain(out, *target, *domain.statement(new))
             except ContradictionError as exc:  # the interval left no label of a stated range
                 raise ContradictionError(
                     f"{phase} ({', '.join(context)}): {exc}", trace[-20:]

@@ -418,24 +418,30 @@ def strip_comment(line: str) -> str:
 def parse_partition_config(text: str) -> Partition:
     """Parse `@partition t1 .. tn` / `@labels name0 .. nameN` lines.
 
-    A scale the lines do not make is a ConfigError naming the line at fault:
-    the `@labels` line for its names and their count, else `@partition`.
+    Each directive appears once, and no other line starts with `@`.  A scale
+    the lines do not make is a ConfigError naming the line at fault: the
+    `@labels` line for its names and their count, else `@partition`.
     """
     thresholds: list[float] | None = None
     labels: list[str] | None = None
+    line_of: dict[str, int] = {}  # directive -> its line number
     for no, raw in enumerate(text.splitlines(), start=1):
         line = strip_comment(raw).strip()
-        if not line:
+        if not line.startswith("@"):
             continue
-        fields = line.split()
-        if fields[0] == "@partition":
-            try:
-                thresholds = [float(f) for f in fields[1:]]
-            except ValueError as exc:
-                raise ConfigError(f"bad threshold: {exc}", no) from None
-            partition_no = no
-        elif fields[0] == "@labels":
-            labels, labels_no = fields[1:], no
+        directive, *fields = line.split()
+        if directive not in ("@partition", "@labels"):
+            raise ConfigError(f"unknown directive {directive!r}", no)
+        if directive in line_of:
+            raise ConfigError(f"second {directive} line", no)
+        line_of[directive] = no
+        if directive == "@labels":
+            labels = fields
+            continue
+        try:
+            thresholds = [float(f) for f in fields]
+        except ValueError as exc:
+            raise ConfigError(f"bad threshold: {exc}", no) from None
     if thresholds is None:
         raise ConfigError("missing @partition line")
     if labels is None:
@@ -443,6 +449,6 @@ def parse_partition_config(text: str) -> Partition:
     try:
         return Partition(thresholds, labels)
     except (DuplicateLabels, WrongLabelCount) as exc:
-        raise ConfigError(f"invalid partition: {exc}", labels_no) from exc
+        raise ConfigError(f"invalid partition: {exc}", line_of["@labels"]) from exc
     except PartitionError as exc:
-        raise ConfigError(f"invalid partition: {exc}", partition_no) from exc
+        raise ConfigError(f"invalid partition: {exc}", line_of["@partition"]) from exc

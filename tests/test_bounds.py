@@ -111,6 +111,11 @@ class TestSyllogism:
         res = solve(problem)
         assert res.ok and (res.interval.lo, res.interval.hi) == (0.0, 1.0)
 
+    def test_zero_weight_with_overflowing_quotient(self):
+        # lo(B|A) = 0 makes u2 exactly 1; hi(C|B) / lo(A|B) overflows, and 0 * -inf would be nan
+        inp = SyllogismInput(I(0, 0.5), I(5e-324, 0.5), I(0.5, 0.6), I(0.5, 0.5))
+        assert syllogism_upper(inp) == 1.0
+
     def test_role_swap_symmetry(self):
         rng = np.random.default_rng(5)
         for _ in range(100):

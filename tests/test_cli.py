@@ -264,7 +264,30 @@ INPUT_ERRORS = {
     "propagate-q-field-count": ("propagate", SCALE5 + "q a b few half most\n", 3),
     "propagate-unknown-kind": ("propagate", SCALE5 + "p a b 0.1 0.2\n", 3),
     "tables-threshold-outside": ("tables", "@labels none few half most all\n@partition -0.5 1.5\n", 2),
+    "propagate-unknown-directive": ("propagate", SCALE5 + "@lables x\n", 3),
+    "tables-second-partition": ("tables", SCALE5 + "@partition 0.2 0.8\n", 3),
 }
+
+
+@pytest.mark.parametrize("mode", ["numeric", "qualitative"])
+@pytest.mark.parametrize("line, certain", [
+    ("q a a al-all", False),
+    ("q a a most al-all", False),
+    ("q a a few", False),
+    ("q a a all", True),
+    ("q a a most all", True),
+    ("n a a 0.5 1", True),
+])
+def test_self_edge_must_allow_certainty(tmp_path, capsys, mode, line, certain):
+    # P(a|a) = 1, and al-all excludes 1 although its hull reaches it
+    kb = tmp_path / "self.kb"
+    kb.write_text(SCALE7 + line + "\n")
+    status = main(["propagate", str(kb), "--mode", mode, "--out", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    if certain:
+        assert (status, err) == (0, "")
+    else:
+        assert (status, err) == (1, "contradiction: line 3: self edge a must be certain\n")
 
 
 @pytest.mark.parametrize("case", INPUT_ERRORS)

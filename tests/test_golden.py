@@ -1,0 +1,62 @@
+"""Byte-for-byte outputs of `propagate` on the sample KBs and of `tables` on two sample scales.
+
+`tests/golden/propagate/<kb>-<mode>/` holds what `propagate` prints
+(`stdout.txt`) and the files it writes; `tests/golden/tables/<scale>/` holds
+the `table.md` that `tables` writes.  A change meant to keep every output
+keeps these files as they are.  A change meant to alter an output
+regenerates them, from the repository root, with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and explains each difference.
+"""
+
+import contextlib
+import io
+import shutil
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from linquant.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden"
+SAMPLES = ROOT / "samples"
+RUNS = {
+    f"propagate/{kb}-{mode}": ["propagate", str(SAMPLES / f"{kb}.kb"), "--mode", mode]
+    for kb in ("students7", "students9", "students_numeric")
+    for mode in ("numeric", "qualitative")
+}
+RUNS.update({f"tables/{cfg}": ["tables", str(SAMPLES / f"{cfg}.cfg")] for cfg in ("scale5", "scale7")})
+
+
+def _outputs(argv: list[str], out: Path) -> dict[str, str]:
+    """The files one run writes, and for `propagate` what it prints, as `stdout.txt`."""
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert main([*argv, "--out", str(out)]) == 0
+    if argv[0] == "tables":  # its table.csv is the same table in full, and it prints the path
+        return {"table.md": (out / "table.md").read_text(encoding="utf-8")}
+    files = {path.name: path.read_text(encoding="utf-8") for path in out.iterdir()}
+    return {"stdout.txt": stdout.getvalue(), **files}
+
+
+@pytest.mark.parametrize("run", RUNS)
+def test_outputs_match_golden(tmp_path, run):
+    want = {path.name: path.read_text(encoding="utf-8") for path in (GOLDEN / run).iterdir()}
+    got = _outputs(RUNS[run], tmp_path)
+    assert sorted(got) == sorted(want)
+    for name in want:
+        assert got[name] == want[name], name
+
+
+if __name__ == "__main__":
+    for run, argv in RUNS.items():
+        with tempfile.TemporaryDirectory() as tmp:
+            files = _outputs(argv, Path(tmp))
+        shutil.rmtree(GOLDEN / run, ignore_errors=True)
+        (GOLDEN / run).mkdir(parents=True)
+        for name, text in files.items():
+            (GOLDEN / run / name).write_text(text, encoding="utf-8")

@@ -4,6 +4,7 @@ import collections
 import itertools
 import math
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -69,12 +70,19 @@ class TestIngest:
         (["n a b 0.3 0.4", "q a b half"], "half"),
         (["q a b al-all", "n a b 0.7 0.8"], "al-all"),
         (["q a b half", "q a b most"], "most"),
+        (["q a b most", "q a b half"], "most"),
     ])
     def test_point_on_threshold_keeps_stated_label(self, p7, lines, label):
         # the point lies on the threshold below the stated label, which contains it
         kb = parse_kb("@partition 0.2 0.4 0.6 0.8\n@labels " + " ".join(p7.labels) + "\n"
                       + "\n".join(lines) + "\n")
         assert kb.qual("a", "b") == p7.range_of(label)
+
+    def test_derived_range_touching_the_edge_keeps_the_edge(self, p7):
+        # unlike two statements, which keep the upper range (above)
+        labels = network._domain(KnowledgeBase(p7, "qualitative"))
+        half, most = p7.range_of("half"), p7.range_of("most")
+        assert labels.narrow(half, most) is half and labels.narrow(most, half) is most
 
     @pytest.mark.parametrize("lines", [
         ["q a b none", "q a b al-none"],
@@ -215,6 +223,51 @@ class TestSaturateNumeric:
         with pytest.raises(ContradictionError, match=clash) as err:
             saturate(kb)
         assert [step.context for step in err.value.chain][0] == ("a", "c", "x")
+
+
+def _mixed_kb(rng: random.Random, p) -> str:
+    """A KB over 3-6 classes whose lines mix label ranges and intervals, often clashing."""
+    names = [f"c{i}" for i in range(rng.randint(3, 6))]
+    lines = [f"@partition {' '.join(map(str, p.thresholds))}", f"@labels {' '.join(p.labels)}"]
+    for _ in range(rng.randint(3, 14)):
+        a, b = rng.sample(names, 2)
+        if rng.random() < 0.5:
+            low, high = sorted(rng.randrange(p.n_labels) for _ in range(2))
+            lines.append(f"q {a} {b} {p.labels[low]} {p.labels[high]}")
+        else:
+            grid = rng.random() < 0.5
+            lo, hi = sorted(rng.randint(0, 10) / 10 if grid else rng.random() for _ in range(2))
+            lines.append(f"n {a} {b} {lo!r} {hi!r}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("mode", ["numeric", "qualitative"])
+def test_stated_range_agrees_with_its_interval(mode):
+    # `_constrain` meets a narrowed value into its edge as it meets a
+    # statement.  In qualitative mode that intersects the edge's interval
+    # with the new range's hull and restricts the new range to the result;
+    # on edges that keep this invariant neither step can fail or drop a
+    # label, so the edge takes the range that `narrow` returned.
+    rng = random.Random(12)
+    checked = 0
+    for _ in range(300):
+        p = rng.choice((qualalg.scale5(0.3), qualalg.scale7(), qualalg.scale9()))
+        kbs = []
+        try:
+            kbs.append(parse_kb(_mixed_kb(rng, p), mode))
+            kbs.append(saturate(kbs[0])[0])
+        except ContradictionError:
+            pass
+        for kb in kbs:
+            for pair, edge in kb.edges.items():
+                if edge.qual is None:
+                    continue
+                checked += 1
+                assert p.restrict(edge.qual, edge.interval) == edge.qual, (pair, edge)
+                if mode == "qualitative":
+                    hull = p.semantics(edge.qual)
+                    assert hull.contains_interval(edge.interval, tol=0.0), (pair, edge)
+    assert checked > 1000
 
 
 def _stated_by_form(p, frm: str, to: str, v: Fraction, form: int) -> str:

@@ -386,3 +386,16 @@ def test_parse_partition_config_names_the_line(text, line):
     with pytest.raises(qualalg.ConfigError, match=f"^line {line}: invalid partition: ") as err:
         qualalg.parse_partition_config(text)
     assert err.value.line_no == line
+
+
+@pytest.mark.parametrize("extra, message", [
+    ("@lables x", "line 3: unknown directive '@lables'"),
+    ("@partition 0.2 0.8", "line 3: second @partition line"),
+    ("@labels a b c d e", "line 3: second @labels line"),
+])
+def test_parse_partition_config_directive_once(extra, message):
+    with pytest.raises(qualalg.ConfigError) as err:
+        qualalg.parse_partition_config(
+            "@partition 0.3 0.7\n@labels none few half most all\n" + extra + "\n"
+        )
+    assert str(err.value) == message and err.value.line_no == 3
