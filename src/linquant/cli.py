@@ -119,7 +119,8 @@ def cmd_check(args) -> int:
 
     report = oracle.run_check(args.n, args.seed)
     _write(args.out, json.dumps(report, indent=2, sort_keys=True) + "\n")
-    if report["max_soundness_violation"] > 0.0:
+    adams_unsound = any(not rule["sound"] for rule in report.get("adams", {}).values())
+    if report["max_soundness_violation"] > 0.0 or adams_unsound:
         print("soundness violation detected", file=sys.stderr)
         return 1
     return 0
@@ -131,6 +132,16 @@ def _alpha_range(text: str) -> tuple[float, float, float]:
     except ValueError:
         raise argparse.ArgumentTypeError("expected from:to:step") from None
     return a_from, a_to, step
+
+
+def _count(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("expected a whole number") from None
+    if n < 0:
+        raise argparse.ArgumentTypeError("expected a count >= 0")
+    return n
 
 
 def main(argv=None) -> int:
@@ -166,7 +177,7 @@ def main(argv=None) -> int:
     p_rob.set_defaults(func=cmd_robustness)
 
     p_check = sub.add_parser("check", help="compare bounds against the LP oracle")
-    p_check.add_argument("--n", type=int, default=200)
+    p_check.add_argument("--n", type=_count, default=200)
     p_check.add_argument("--seed", type=int, default=0)
     p_check.add_argument("--out", default=None)
     p_check.set_defaults(func=cmd_check)

@@ -2,17 +2,19 @@
 
 Ground truth for the bound formulas: over all joint distributions on the
 2**k atoms of k base classes, what is the min/max of P(to|from)?
-`solve_events` takes events over any class count; `OracleProblem`, the
-class-pair form that `solve` takes, caps k at 4.
+`solve_events` and `solve_small` take events over the atoms; `solve` takes
+class pairs, constraints (frm, to, P(to|frm)) and a target (frm, to).
 
 Each constraint P(u|v) in [l, h] is linear once multiplied through by the
-conditioning mass:  l.P(v) <= P(u^v) <= h.P(v).  This makes the constraint
-vacuous when P(v) = 0, mirroring the dropped-term convention of the bound
-formulas.  The fractional objective P(to^from)/P(from) is handled by the
-usual normalisation: optimise over y = x / P(from) with sum(y over from) = 1,
-which sweeps exactly the distributions giving `from` positive mass.  If no
-such distribution exists the target is unconstrained and [0, 1] is returned.
-The LP is the only path: there is no fallback.
+conditioning mass:  l.P(v) <= P(u^v) <= h.P(v), its own two rows.  This
+makes the constraint vacuous when P(v) = 0, mirroring the dropped-term
+convention of the bound formulas; so a pair stated twice means what both
+statements say, their intersection or, if that is empty, P(v) = 0.  The
+fractional objective P(to^from)/P(from) is handled by the usual
+normalisation: optimise over y = x / P(from) with sum(y over from) = 1,
+which sweeps exactly the distributions giving `from` positive mass.  The
+status is "ok", or "unconstrained" with [0, 1] if no such distribution
+exists.  The LP is the only path: there is no fallback.
 
 Two solvers answer it.  `solve_small`, a two-phase simplex in plain
 Python floats, takes up to four classes (16 atoms); `solve` and
@@ -34,32 +36,14 @@ from typing import NamedTuple, Sequence
 
 from . import adams
 from .bounds import SyllogismInput, syllogism
-from .qualalg import ProbInterval, Value
+from .qualalg import ProbInterval
 
 Event = frozenset  # of atom indices
 
 
-class OracleProblem(Value):
-    """Interval constraints (frm, to, P(to|frm)) on class pairs, and the target pair."""
-
-    __slots__ = ("class_count", "constraints", "target")
-
-    def __init__(self, class_count: int, constraints, target) -> None:
-        if not 2 <= class_count <= 4:
-            raise ValueError("class_count must be 2..4")
-        seen = set()
-        for frm, to, _ in constraints:
-            if (frm, to) in seen:
-                raise ValueError(f"duplicate constraint pair ({frm}, {to})")
-            seen.add((frm, to))
-        self.class_count = class_count
-        self.constraints: tuple[tuple[int, int, ProbInterval], ...] = tuple(constraints)
-        self.target: tuple[int, int] = tuple(target)
-
-
 class OracleResult(NamedTuple):
     interval: ProbInterval
-    status: str  # "ok" | "unconstrained" | "inconsistent"
+    status: str  # "ok" | "unconstrained"
 
     @property
     def ok(self) -> bool:
@@ -70,40 +54,20 @@ def class_event(class_count: int, i: int) -> Event:
     return frozenset(a for a in range(2**class_count) if a >> i & 1)
 
 
-def merged_pair_intervals(
-    constraints: Sequence[tuple[Event, Event, ProbInterval]],
-) -> dict[tuple[Event, Event], ProbInterval] | None:
-    """Intersect constraints sharing a (condition, event) pair; None if empty."""
-    merged: dict[tuple[Event, Event], ProbInterval] = {}
-    for u, v, ival in constraints:
-        key = (v, u)
-        if key in merged:
-            meet = merged[key].intersect(ival)
-            if meet is None:
-                return None
-            merged[key] = meet
-        else:
-            merged[key] = ival
-    return merged
-
-
 def _lp_rows(
     class_count: int,
     constraints: Sequence[tuple[Event, Event, ProbInterval]],
     target: tuple[Event, Event],
-) -> tuple[list[list[float]], list[float], list[float]] | None:
-    """(rows, norm, obj) of the LP over atom masses, or None if a pair clashes.
+) -> tuple[list[list[float]], list[float], list[float]]:
+    """(rows, norm, obj) of the LP over atom masses.
 
     Each constraint P(u|v) in [l, h] gives the rows l.x(v) - x(u^v) <= 0
     and x(u^v) - h.x(v) <= 0; `norm` is the scaling x(target v) = 1 and
     `obj` the mass x(target u ^ target v).
     """
-    merged = merged_pair_intervals(constraints)
-    if merged is None:
-        return None
     n = 2**class_count
     rows = []
-    for (v, u), ival in merged.items():
+    for u, v, ival in constraints:
         lo_row = [0.0] * n
         hi_row = [0.0] * n
         for a in v:
@@ -120,10 +84,9 @@ def _lp_rows(
 
 
 def _ok(lo: float, hi: float) -> OracleResult:
-    return OracleResult(ProbInterval(min(max(lo, 0.0), 1.0), min(max(hi, 0.0), 1.0)), "ok")
+    return OracleResult(ProbInterval(min(max(0.0, lo), 1.0), min(max(0.0, hi), 1.0)), "ok")
 
 
-_INCONSISTENT = OracleResult(ProbInterval(0.0, 1.0), "inconsistent")
 _UNCONSTRAINED = OracleResult(ProbInterval(0.0, 1.0), "unconstrained")
 
 
@@ -136,10 +99,7 @@ def solve_events(
     import numpy as np
     from scipy.optimize import linprog
 
-    lp = _lp_rows(class_count, constraints, target)
-    if lp is None:
-        return _INCONSISTENT
-    rows, norm, obj = lp
+    rows, norm, obj = _lp_rows(class_count, constraints, target)
     vals = []
     for sign in (1.0, -1.0):
         res = linprog(
@@ -220,10 +180,7 @@ def solve_small(
     """
     if class_count > _MAX_CLASSES:
         raise ValueError(f"solve_small takes at most {_MAX_CLASSES} classes")
-    lp = _lp_rows(class_count, constraints, target)
-    if lp is None:
-        return _INCONSISTENT
-    rows, norm, obj = lp
+    rows, norm, obj = _lp_rows(class_count, constraints, target)
     n, m = len(norm), len(rows) + 1
     tab = [row + [0.0] for row in rows]
     tab += [norm + [1.0], [-x for x in norm] + [-1.0], obj + [0.0], [-x for x in obj] + [0.0]]
@@ -242,15 +199,19 @@ def solve_small(
     return _ok(lo, tab[m + 2][-1])
 
 
-def solve(problem: OracleProblem) -> OracleResult:
-    """`solve_small` on the class events of a class-pair problem."""
-    k = problem.class_count
-    cons = [
-        (class_event(k, to), class_event(k, frm), ival)
-        for frm, to, ival in problem.constraints
-    ]
-    frm, to = problem.target
-    return solve_small(k, cons, (class_event(k, to), class_event(k, frm)))
+def solve(
+    class_count: int,
+    constraints: Sequence[tuple[int, int, ProbInterval]],
+    target: tuple[int, int],
+) -> OracleResult:
+    """`solve_small` on class pairs: constraints (frm, to, P(to|frm)), target (frm, to)."""
+
+    def events(frm: int, to: int) -> tuple[Event, Event]:
+        return class_event(class_count, to), class_event(class_count, frm)
+
+    return solve_small(
+        class_count, [(*events(frm, to), ival) for frm, to, ival in constraints], events(*target)
+    )
 
 
 # -- certification of the closed forms -----------------------------------------
@@ -278,17 +239,13 @@ def run_check(n: int, seed: int) -> dict:
         for _ in range(n):
             inp = SyllogismInput(*(_random_interval(rng, precise) for _ in range(4)))
             ca, _ = syllogism(inp)
-            problem = OracleProblem(
-                3,
-                [
-                    (0, 1, inp.b_given_a),
-                    (1, 0, inp.a_given_b),
-                    (1, 2, inp.c_given_b),
-                    (2, 1, inp.b_given_c),
-                ],
-                (0, 2),
-            )
-            res = solve(problem)
+            premises = [
+                (0, 1, inp.b_given_a),
+                (1, 0, inp.a_given_b),
+                (1, 2, inp.c_given_b),
+                (2, 1, inp.b_given_c),
+            ]
+            res = solve(3, premises, (0, 2))
             if not res.ok:
                 continue
             violation = max(ca.lo - res.interval.lo, res.interval.hi - ca.hi, 0.0)

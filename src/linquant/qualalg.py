@@ -102,9 +102,9 @@ class ProbInterval(Value):
     def __init__(self, lo: float, hi: float) -> None:
         if not (-TOL <= lo <= hi + TOL and hi <= 1 + TOL):
             raise ValueError(f"invalid probability interval [{lo}, {hi}]")
-        lo = min(max(lo, 0.0), 1.0)
+        lo = min(max(0.0, lo), 1.0)  # max returns its first argument on a tie: 0.0, not -0.0
         self.lo = lo
-        self.hi = min(max(hi, lo), 1.0)
+        self.hi = min(max(lo, hi), 1.0)
 
     def contains(self, x: float, tol: float = TOL) -> bool:
         return self.lo - tol <= x <= self.hi + tol

@@ -22,7 +22,6 @@ from linquant import adams, network, qualalg, tables
 from linquant.bounds import SyllogismInput, syllogism
 from linquant.network import gbt_qualitative, parse_kb, saturate, simple_cycles
 from linquant.oracle import (
-    OracleProblem,
     adams_oracle_problems,
     class_event,
     solve,
@@ -55,16 +54,14 @@ def verdict(num: int, name: str, failures: list[str], notes: str = "") -> None:
 
 def syllogism_oracle_range(inp: SyllogismInput) -> I:
     res = solve(
-        OracleProblem(
-            3,
-            [
-                (0, 1, inp.b_given_a),
-                (1, 0, inp.a_given_b),
-                (1, 2, inp.c_given_b),
-                (2, 1, inp.b_given_c),
-            ],
-            (0, 2),
-        )
+        3,
+        [
+            (0, 1, inp.b_given_a),
+            (1, 0, inp.a_given_b),
+            (1, 2, inp.c_given_b),
+            (2, 1, inp.b_given_c),
+        ],
+        (0, 2),
     )
     return res.interval if res.ok else None
 

@@ -16,7 +16,7 @@ from linquant.bounds import (
     syllogism_upper,
     typicality_bounds,
 )
-from linquant.oracle import OracleProblem, solve
+from linquant.oracle import solve
 from linquant.qualalg import ProbInterval as I
 
 from conftest import conditionals_of, random_subinterval
@@ -33,7 +33,7 @@ ALL_ONES = SyllogismInput(I(1, 1), I(1, 1), I(1, 1), I(1, 1))
 
 def oracle_range(inp: SyllogismInput) -> I:
     """Attainable range of P(C|A), classes 0=A, 1=B, 2=C."""
-    problem = OracleProblem(
+    res = solve(
         3,
         [
             (0, 1, inp.b_given_a),
@@ -43,7 +43,6 @@ def oracle_range(inp: SyllogismInput) -> I:
         ],
         (0, 2),
     )
-    res = solve(problem)
     assert res.ok
     return res.interval
 
@@ -107,8 +106,7 @@ class TestSyllogism:
         inp = SyllogismInput(I(0, 0), I(0, 1), I(0, 1), I(0, 1))
         ca, _ = syllogism(inp)
         assert (ca.lo, ca.hi) == (0.0, 1.0)
-        problem = OracleProblem(3, [(0, 1, I(0, 0))], (0, 2))
-        res = solve(problem)
+        res = solve(3, [(0, 1, I(0, 0))], (0, 2))
         assert res.ok and (res.interval.lo, res.interval.hi) == (0.0, 1.0)
 
     def test_zero_weight_with_overflowing_quotient(self):

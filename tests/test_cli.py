@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import linquant
-from linquant import network, qualalg
+from linquant import adams, network, qualalg
 from linquant.cli import main
 
 from conftest import STUDENTS_KB7, STUDENTS_NUMERIC
@@ -67,6 +67,17 @@ def test_propagate_numeric_answers_queries(tmp_path, capsys):
     entry = answers["P(student|children)"]
     assert entry["lo"] == pytest.approx(0.0, abs=0.01)
     assert entry["hi"] == pytest.approx(0.099, abs=0.01)
+
+
+def test_propagate_negative_zero(tmp_path, capsys):
+    # "-0" parses as -0.0; no output shows the sign
+    kb = tmp_path / "zero.kb"
+    kb.write_text(SCALE7 + "n a b -0 0.5\n? a b\n")
+    out = tmp_path / "run"
+    assert main(["propagate", str(kb), "--out", str(out)]) == 0
+    assert capsys.readouterr().out.startswith("a -> b : [0.000, 0.500]\n")
+    assert (out / "saturated.csv").read_text().splitlines()[1] == 'a,"1.000,1.000","0.000,0.500"'
+    assert '"lo": 0.0,' in (out / "answers.json").read_text()
 
 
 def test_propagate_empty_kb(tmp_path):
@@ -213,6 +224,24 @@ def test_check_empty(tmp_path):
     assert main(["check", "--n", "0", "--out", str(out)]) == 0
     payload = json.loads(out.read_text())
     assert payload["n"] == 0
+
+
+def test_check_negative_n_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--n", "-1"])
+    assert exc.value.code == 2
+    assert "argument --n: expected a count >= 0" in capsys.readouterr().err
+
+
+def test_check_adams_violation_exit_code(tmp_path, capsys, monkeypatch):
+    # a Bayes-rule bound above its LP minimum, 0.49 at alpha 0.3, is unsound
+    monkeypatch.setattr(adams, "bayes_rule_bound", lambda alpha: 0.9)
+    out = tmp_path / "check.json"
+    assert main(["check", "--n", "5", "--out", str(out)]) == 1
+    payload = json.loads(out.read_text())
+    assert payload["max_soundness_violation"] == 0.0
+    assert not payload["adams"]["bayes_rule"]["sound"]
+    assert capsys.readouterr().err == "soundness violation detected\n"
 
 
 def test_check_seeded_deterministic(tmp_path):

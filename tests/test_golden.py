@@ -1,8 +1,11 @@
-"""Byte-for-byte outputs of `propagate` on the sample KBs and of `tables` on two sample scales.
+"""Byte-for-byte outputs of `propagate`, `tables`, `check` and `robustness`.
 
 `tests/golden/propagate/<kb>-<mode>/` holds what `propagate` prints
-(`stdout.txt`) and the files it writes; `tests/golden/tables/<scale>/` holds
-the `table.md` that `tables` writes.  A change meant to keep every output
+(`stdout.txt`) and the files it writes on a sample KB;
+`tests/golden/tables/<scale>/` holds the `table.md` that `tables` writes on
+a sample scale; `tests/golden/check/<run>/` and
+`tests/golden/robustness/<run>/` hold the one JSON report, `report.json`,
+that each of those writes.  A change meant to keep every output
 keeps these files as they are.  A change meant to alter an output
 regenerates them, from the repository root, with
 
@@ -30,17 +33,24 @@ RUNS = {
     for mode in ("numeric", "qualitative")
 }
 RUNS.update({f"tables/{cfg}": ["tables", str(SAMPLES / f"{cfg}.cfg")] for cfg in ("scale5", "scale7")})
+RUNS.update({f"check/n200-seed{seed}": ["check", "--n", "200", "--seed", str(seed)] for seed in (0, 1)})
+RUNS["robustness/default"] = ["robustness"]
+RUNS["robustness/alpha-0.36-0.40"] = ["robustness", "--alpha", "0.36:0.40:0.01"]
+REPORT = "report.json"  # `check` and `robustness` take `--out` as this file
 
 
 def _outputs(argv: list[str], out: Path) -> dict[str, str]:
     """The files one run writes, and for `propagate` what it prints, as `stdout.txt`."""
     stdout = io.StringIO()
+    dest = out / REPORT if argv[0] in ("check", "robustness") else out
     with contextlib.redirect_stdout(stdout):
-        assert main([*argv, "--out", str(out)]) == 0
+        assert main([*argv, "--out", str(dest)]) == 0
     if argv[0] == "tables":  # its table.csv is the same table in full, and it prints the path
         return {"table.md": (out / "table.md").read_text(encoding="utf-8")}
     files = {path.name: path.read_text(encoding="utf-8") for path in out.iterdir()}
-    return {"stdout.txt": stdout.getvalue(), **files}
+    if argv[0] == "propagate":
+        files["stdout.txt"] = stdout.getvalue()
+    return files
 
 
 @pytest.mark.parametrize("run", RUNS)

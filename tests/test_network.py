@@ -26,7 +26,7 @@ from linquant.network import (
     saturate,
     simple_cycles,
 )
-from linquant.oracle import OracleProblem, class_event, solve, solve_events
+from linquant.oracle import class_event, solve, solve_events
 from linquant.qualalg import ProbInterval as I
 
 from conftest import STUDENTS_KB7, STUDENTS_KB9, STUDENTS_NUMERIC, conditionals_of, cycle_rotations
@@ -195,7 +195,7 @@ class TestSaturateNumeric:
                 for t in range(4):
                     if f == t:
                         continue
-                    res = solve(OracleProblem(4, cons, (f, t)))
+                    res = solve(4, cons, (f, t))
                     if not res.ok:
                         continue
                     got = sat.interval(names[f], names[t])

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from linquant.oracle import (
-    OracleProblem,
     adams_oracle_problems,
     class_event,
     solve,
@@ -38,29 +37,29 @@ def sampled_constraints(rng: np.random.Generator, k: int, count: int):
     return cons, pairs[-1], masses
 
 
-def random_problem(rng: np.random.Generator, trial: int) -> OracleProblem:
+def random_problem(rng: np.random.Generator, trial: int):
+    """(class count, constraints, target) of `solve`, and the sampled masses."""
     k = int(rng.integers(2, 5))
     cons, target, masses = sampled_constraints(rng, k, 4)
-    return OracleProblem(k, cons, target), masses
+    return (k, cons, target), masses
 
 
 # box endpoints of the grid certification; the 0 and 1 ends make degenerate LPs
 GRID = (0.0, 0.1, 0.2, 0.3, 0.5, 0.7, 0.8, 0.9, 1.0)
 
 
-def grid_problem(rng: np.random.Generator) -> OracleProblem:
+def grid_problem(rng: np.random.Generator):
     """The syllogism's 3-class LP on four boxes with endpoints on GRID."""
     box = [I(*sorted(float(x) for x in rng.choice(GRID, 2))) for _ in range(4)]
-    return OracleProblem(3, [(0, 1, box[0]), (1, 0, box[1]), (1, 2, box[2]), (2, 1, box[3])], (0, 2))
+    return 3, [(0, 1, box[0]), (1, 0, box[1]), (1, 2, box[2]), (2, 1, box[3])], (0, 2)
 
 
-def highs(problem: OracleProblem):
+def highs(k: int, cons, target):
     """`solve_events` on the same class events as `solve`."""
-    k = problem.class_count
-    frm, to = problem.target
+    frm, to = target
     return solve_events(
         k,
-        [(class_event(k, t), class_event(k, f), ival) for f, t, ival in problem.constraints],
+        [(class_event(k, t), class_event(k, f), ival) for f, t, ival in cons],
         (class_event(k, to), class_event(k, frm)),
     )
 
@@ -75,24 +74,21 @@ def certified(k: int, cons, target) -> tuple[float, float]:
 
 
 def test_unconstrained_target_is_full():
-    problem = OracleProblem(3, [], (0, 2))
-    for res in (solve(problem), highs(problem)):
+    for res in (solve(3, [], (0, 2)), highs(3, [], (0, 2))):
         assert res.ok
         assert (res.interval.lo, res.interval.hi) == (0.0, 1.0)
 
 
 def test_worked_point_inputs():
     res = solve(
-        OracleProblem(
-            3,
-            [
-                (0, 1, I(0.6, 0.6)),
-                (1, 0, I(0.8, 0.8)),
-                (1, 2, I(0.8, 0.8)),
-                (2, 1, I(0.4, 0.4)),
-            ],
-            (0, 2),
-        )
+        3,
+        [
+            (0, 1, I(0.6, 0.6)),
+            (1, 0, I(0.8, 0.8)),
+            (1, 2, I(0.8, 0.8)),
+            (2, 1, I(0.4, 0.4)),
+        ],
+        (0, 2),
     )
     assert res.ok
     assert res.interval.lo == pytest.approx(0.45, abs=1e-6)
@@ -100,16 +96,14 @@ def test_worked_point_inputs():
 
 def test_typicality_agreement():
     res = solve(
-        OracleProblem(
-            3,
-            [
-                (0, 1, I(1, 1)),
-                (1, 0, I(0.8, 0.8)),
-                (1, 2, I(0.9, 0.9)),
-                (2, 1, I(1, 1)),
-            ],
-            (0, 2),
-        )
+        3,
+        [
+            (0, 1, I(1, 1)),
+            (1, 0, I(0.8, 0.8)),
+            (1, 2, I(0.9, 0.9)),
+            (2, 1, I(1, 1)),
+        ],
+        (0, 2),
     )
     assert res.interval.lo == pytest.approx(0.875, abs=1e-6)
     assert res.interval.hi == pytest.approx(1.0, abs=1e-6)
@@ -118,9 +112,9 @@ def test_typicality_agreement():
 def test_monotone_under_extra_constraints():
     rng = np.random.default_rng(12)
     for trial in range(15):
-        problem, _ = random_problem(rng, trial)
-        base = solve(OracleProblem(problem.class_count, problem.constraints[:-1], problem.target))
-        full = solve(problem)
+        (k, cons, target), _ = random_problem(rng, trial)
+        base = solve(k, cons[:-1], target)
+        full = solve(k, cons, target)
         if base.ok and full.ok:
             assert base.interval.lo <= full.interval.lo + 1e-9
             assert full.interval.hi <= base.interval.hi + 1e-9
@@ -129,29 +123,30 @@ def test_monotone_under_extra_constraints():
 def test_contains_sampled_value():
     rng = np.random.default_rng(13)
     for trial in range(15):
-        problem, masses = random_problem(rng, trial)
-        pcond = conditionals_of(masses, problem.class_count)
-        res = solve(problem)
+        (k, cons, (frm, to)), masses = random_problem(rng, trial)
+        res = solve(k, cons, (frm, to))
         assert res.ok
-        frm, to = problem.target
+        pcond = conditionals_of(masses, k)
         assert res.interval.contains(pcond(to, frm), tol=1e-7)
 
 
-def test_inconsistent_same_pair():
-    res = solve(
-        OracleProblem(3, [(0, 1, I(0.2, 0.3)), (1, 0, I(0.5, 0.6))], (0, 2))
-    )
-    assert res.ok  # distinct pairs are fine
-    bad = OracleProblem(3, [(0, 1, I(0.2, 0.3))], (0, 2))
-    merged = bad.constraints + ((0, 2, I(0.1, 0.2)),)
-    # same ordered pair with empty overlap
-    cons = [
-        (class_event(3, 1), class_event(3, 0), I(0.2, 0.3)),
-        (class_event(3, 1), class_event(3, 0), I(0.5, 0.6)),
-    ]
-    for solver in (solve_small, solve_events):
-        res2 = solver(3, cons, (class_event(3, 2), class_event(3, 0)))
-        assert res2.status == "inconsistent"
+def test_repeated_pair():
+    # Each statement keeps its own rows: a pair stated twice means what both
+    # say, their intersection or, when they are disjoint, P(A) = 0.  Here
+    # P(C|A) is [0.25, 0.641] on the intersection, and either statement
+    # alone moves one end of it.
+    rest = [(1, 0, I(0.8, 1.0)), (1, 2, I(0.7, 0.9)), (2, 1, I(0.8, 1.0))]
+    twice = [(0, 1, I(0.2, 0.5)), *rest, (0, 1, I(0.4, 0.7))]
+    once = [(0, 1, I(0.4, 0.5)), *rest]
+    clash = [(0, 1, I(0.2, 0.3)), (0, 1, I(0.5, 0.6))]
+    for solver in (solve, highs):
+        got, want = solver(3, twice, (0, 2)), solver(3, once, (0, 2))
+        assert got.ok and want.ok
+        assert abs(got.interval.lo - want.interval.lo) <= 1e-7
+        assert abs(got.interval.hi - want.interval.hi) <= 1e-7
+        res = solver(3, clash, (0, 2))
+        assert res.status == "unconstrained"
+        assert (res.interval.lo, res.interval.hi) == (0.0, 1.0)
 
 
 def test_forced_zero_mass_is_unconstrained():
@@ -170,10 +165,10 @@ def test_lp_answers_are_certified():
     problems = [random_problem(rng, trial)[0] for trial in range(50)]
     problems += [grid_problem(rng) for _ in range(200)]
     for problem in problems:
-        lp = solve(problem)
-        assert lp.status == highs(problem).status
+        lp = solve(*problem)
+        assert lp.status == highs(*problem).status
         if lp.ok:  # else no model gives the target's condition mass
-            lo, hi = certified(problem.class_count, problem.constraints, problem.target)
+            lo, hi = certified(*problem)
             assert abs(lp.interval.lo - lo) <= 1e-7 and abs(lp.interval.hi - hi) <= 1e-7
 
 
@@ -188,7 +183,7 @@ def test_adams_problems_match_highs(alpha):
 
 @pytest.mark.parametrize("k", [5, 6])
 def test_certified_beyond_four_classes(k):
-    # OracleProblem stops at four classes; solve_events takes events over any.
+    # `solve` stops at four classes; solve_events takes events over any.
     # 4k widened conditionals, so that most range ends lie inside (0, 1)
     rng = np.random.default_rng(k)
     event = [class_event(k, i) for i in range(k)]
@@ -204,8 +199,6 @@ def test_certified_beyond_four_classes(k):
 
 def test_class_count_validation():
     with pytest.raises(ValueError):
-        OracleProblem(5, [], (0, 1))
-    with pytest.raises(ValueError):
-        OracleProblem(3, [(0, 1, I(0, 1)), (0, 1, I(0, 0.5))], (0, 2))
+        solve(5, [], (0, 1))
     with pytest.raises(ValueError):
         solve_small(5, [], (class_event(5, 1), class_event(5, 0)))

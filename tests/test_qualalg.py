@@ -70,6 +70,10 @@ class TestValues:
         assert repr(i) == "ProbInterval(lo=0.0, hi=1.0)"
         assert repr(QRange(1, 3)) == "QRange(low=1, high=3)"
 
+    def test_negative_zero_clamped_to_zero(self):
+        for i in (ProbInterval(-0.0, 0.5), ProbInterval(-0.0, -0.0)):
+            assert math.copysign(1, i.lo) == 1 and math.copysign(1, i.hi) == 1
+
     @pytest.mark.parametrize("lo, hi", [(0.6, 0.5), (-0.1, 0.5), (0.5, 1.1)])
     def test_invalid_interval(self, lo, hi):
         with pytest.raises(ValueError, match="invalid probability interval"):
