@@ -24,13 +24,13 @@ contributes no constraint.  The endpoint choices in u3/u4 are the ones
 certified tight against the exact LP oracle (see tests); a transcription
 with hi(B|C) in the denominators is provably unsound.
 
-The module also provides the cycle form of Bayes' theorem and the closed
-form for the typicality special case P(B|A) = P(B|C) = 1.
+The module also provides the cycle form of Bayes' theorem, which proposes
+a (lo, hi) pair as the two syllogism ends do, and the closed form for the
+typicality special case P(B|A) = P(B|C) = 1.
 """
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple, Sequence
 
 from .qualalg import ProbInterval, Value
@@ -103,8 +103,8 @@ def syllogism(inp: SyllogismInput) -> tuple[ProbInterval, ProbInterval]:
 
 def bayes_cycle(
     forward: Sequence[ProbInterval], backward: Sequence[ProbInterval]
-) -> ProbInterval:
-    """Propose a range for the edge P(A1|Ak) of a cycle A1..Ak via the product identity.
+) -> tuple[float, float]:
+    """Propose a (lo, hi) pair for the edge P(A1|Ak) of a cycle A1..Ak via the product identity.
 
     forward[i] = P(A_{i+1}|A_{i+2}) for i < k-1 and forward[-1] = P(Ak|A1);
     backward[i] = P(A_{i+2}|A_{i+1}) for i < k-1, so it holds one edge
@@ -113,18 +113,19 @@ def bayes_cycle(
         P(A1|Ak) = P(Ak|A1) . prod_i P(Ai|Ai+1) / P(Ai+1|Ai)
 
     gives one bound per side, clipped to [0, 1]; a zero denominator leaves
-    that side vacuous.  Meeting the result with the edge's current range is
+    that side vacuous.  Meeting the pair with the edge's current range is
     the caller's step.
     """
     if len(backward) != len(forward) - 1 or not backward:
         raise ValueError("a cycle needs k >= 2 forward edges and k - 1 backward edges")
-    num_hi = math.prod(f.hi for f in forward)
-    num_lo = math.prod(f.lo for f in forward)
-    den_lo = math.prod(b.lo for b in backward)
-    den_hi = math.prod(b.hi for b in backward)
+    num_lo = num_hi = den_lo = den_hi = 1.0  # each product left to right, as `math.prod`
+    for f in forward:
+        num_lo, num_hi = num_lo * f.lo, num_hi * f.hi
+    for b in backward:
+        den_lo, den_hi = den_lo * b.lo, den_hi * b.hi
     hi = 1.0 if den_lo <= 0.0 else min(1.0, num_hi / den_lo)
     lo = 0.0 if den_hi <= 0.0 else min(1.0, num_lo / den_hi)
-    return ProbInterval(lo, hi)
+    return lo, hi
 
 
 class TypicalityInput(Value):

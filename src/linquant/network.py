@@ -36,7 +36,10 @@ the contexts that read that edge.  Two rules say which contexts can narrow:
   drops a zero.
 
 Both rules are monotone narrowing operators, so the fixpoint does not
-depend on the order in which contexts are applied (Cousot & Cousot 1977).
+depend on the order in which contexts are applied (Cousot & Cousot 1977),
+up to the 1e-9 stop of numeric mode.  The queues keep the order in which
+`_Graph` lists contexts, which its dicts take from the sorted nodes and
+edges, so a run does not depend on the string hash seed either.
 """
 
 from __future__ import annotations
@@ -56,6 +59,10 @@ from .tables import SyllogismTable, eval_extended
 class Edge(NamedTuple):
     interval: ProbInterval
     qual: QRange | None = None
+
+
+_VACUOUS = Edge(FULL)  # what an unstated edge holds
+_CERTAIN = ProbInterval(1.0, 1.0)  # P(a|a), which no edge stores
 
 
 class TraceStep(NamedTuple):
@@ -87,9 +94,8 @@ class KnowledgeBase(Value):
 
     def interval(self, frm: str, to: str) -> ProbInterval:
         if frm == to:
-            return ProbInterval(1.0, 1.0)
-        edge = self.edges.get((frm, to))
-        return edge.interval if edge else FULL
+            return _CERTAIN
+        return self.edges.get((frm, to), _VACUOUS).interval
 
     def qual(self, frm: str, to: str) -> QRange:
         p = self.partition
@@ -159,8 +165,7 @@ def _constrain(
         return ContradictionError(f"contradiction on edge {frm} -> {to}: {was} vs {new}")
 
     if frm == to:
-        one = ProbInterval(1.0, 1.0)
-        if not interval.contains(1.0) or qual is not None and p.restrict(qual, one) is None:
+        if not interval.contains(1.0) or qual is not None and p.restrict(qual, _CERTAIN) is None:
             raise ContradictionError(f"self edge {frm} must be certain")
         return
     old = kb.edges.get((frm, to))
@@ -244,7 +249,7 @@ class _Intervals:
 
     @staticmethod
     def informative(value: ProbInterval) -> bool:
-        return value != FULL
+        return value.lo != 0.0 or value.hi != 1.0  # value != FULL, without `Value.__eq__`
 
     @staticmethod
     def positive(value: ProbInterval) -> bool:
@@ -252,10 +257,11 @@ class _Intervals:
 
     @staticmethod
     def narrow(old: ProbInterval, candidate) -> ProbInterval | None:
-        lo, hi = max(old.lo, candidate[0]), min(old.hi, candidate[1])
+        lo = candidate[0] if candidate[0] > old.lo else old.lo  # the meet, without max and min
+        hi = candidate[1] if candidate[1] < old.hi else old.hi
         if lo > hi + TOL:
             return None
-        hi = max(lo, hi)
+        hi = hi if hi > lo else lo
         if lo - old.lo <= _EPS and old.hi - hi <= _EPS:
             return old
         return ProbInterval(lo, hi)
@@ -267,18 +273,22 @@ class _Intervals:
     @staticmethod
     def syllogism(kb, abc):
         a, b, c = abc
+        get = kb.edges.get  # not `kb.interval`: a context names distinct nodes, so no self edge
         inp = SyllogismInput(
-            kb.interval(a, b), kb.interval(b, a), kb.interval(b, c), kb.interval(c, b)
+            get((a, b), _VACUOUS).interval, get((b, a), _VACUOUS).interval,
+            get((b, c), _VACUOUS).interval, get((c, b), _VACUOUS).interval,
         )
         return (a, c), (syllogism_lower(inp), syllogism_upper(inp))
 
     @staticmethod
     def cycle(kb, seq):
-        fwd_pairs, bwd_pairs = _cycle_edges(seq)
-        new = bayes_cycle(
-            [kb.interval(*pair) for pair in fwd_pairs], [kb.interval(*pair) for pair in bwd_pairs]
-        )
-        return (seq[-1], seq[0]), (new.lo, new.hi)
+        get = kb.edges.get
+        forward, backward = [], []  # the premises that `_cycle_edges` names
+        for x, y in zip(seq, seq[1:]):
+            forward.append(get((y, x), _VACUOUS).interval)
+            backward.append(get((x, y), _VACUOUS).interval)
+        forward.append(get((seq[0], seq[-1]), _VACUOUS).interval)
+        return (seq[-1], seq[0]), bayes_cycle(forward, backward)
 
 
 class _Labels:
@@ -335,9 +345,10 @@ def saturate(kb: KnowledgeBase) -> tuple[KnowledgeBase, list[TraceStep]]:
     the syllogism queue drains before each rotation, so the syllogism phase
     runs first and again after every rotation that narrows an edge.  When
     an edge narrows, the contexts that read it are queued again, each at
-    most once at a time, in sorted order; saturation ends when both queues
-    are empty.  A narrowed value reaches its edge through `_constrain`, so a
-    stated range that it leaves no label of is a clash, as at ingestion.
+    most once at a time, in the order `_Graph` lists them; saturation ends
+    when both queues are empty.  A narrowed value reaches its edge through
+    `_constrain`, so a stated range that it leaves no label of is a clash,
+    as at ingestion.
     """
     out = kb.copy()
     trace: list[TraceStep] = []
@@ -345,7 +356,7 @@ def saturate(kb: KnowledgeBase) -> tuple[KnowledgeBase, list[TraceStep]]:
     graph = _Graph(out, domain)
     rules = (("syllogism", domain.syllogism), (domain.cycle_phase, domain.cycle))
     queues = (_Queue(graph.triples()), _Queue(graph.rotations()))
-    while any(queues):
+    while queues[0] or queues[1]:
         i = 0 if queues[0] else 1
         phase, rule = rules[i]
         context = queues[i].pop()
@@ -427,7 +438,8 @@ class _Graph:
                     path + (y,) for path in self._grow((x,), 0, k - 2)
                     if y not in path and y in self.succ[path[-1]]
                 ]
-        return [seq for path in paths for seq in (path, path[::-1])]
+        # a path whose reverse is positive too is grown twice, once each way
+        return list(dict.fromkeys([seq for path in paths for seq in (path, path[::-1])]))
 
     def _grow(self, path: tuple[str, ...], left: int, right: int) -> list[tuple[str, ...]]:
         """The positive paths that extend `path` by `left` nodes before it and `right` after it."""
@@ -451,10 +463,10 @@ class _Queue:
         return bool(self._items)
 
     def extend(self, contexts: list[tuple[str, ...]]) -> None:
-        for context in sorted(contexts, key=lambda c: (len(c), c)):  # shorter cycles first
-            if context not in self._queued:
-                self._queued.add(context)
-                self._items.append(context)
+        """Queue, in the order given, the contexts not queued yet; `contexts` repeats none."""
+        fresh = [context for context in contexts if context not in self._queued]
+        self._queued.update(fresh)
+        self._items.extend(fresh)
 
     def pop(self) -> tuple[str, ...]:
         context = self._items.popleft()

@@ -172,8 +172,8 @@ class TestSyllogism:
 class TestBayesCycle:
     def test_identity_chain(self):
         one = I(1, 1)
-        got = bayes_cycle([one, one, one], [one, one])
-        assert (got.lo, got.hi) == (1.0, 1.0)
+        lo, hi = bayes_cycle([one, one, one], [one, one])
+        assert (lo, hi) == (1.0, 1.0)
 
     def test_pins_known_distribution(self):
         rng = np.random.default_rng(9)
@@ -183,14 +183,14 @@ class TestBayesCycle:
             fwd_vals = [pcond(0, 1), pcond(1, 2), pcond(2, 0)]
             bwd_vals = [pcond(1, 0), pcond(2, 1), pcond(0, 2)]
             assert math.prod(fwd_vals) / math.prod(bwd_vals) == pytest.approx(1.0, abs=1e-12)
-            got = bayes_cycle([I(v, v) for v in fwd_vals], [I(v, v) for v in bwd_vals[:-1]])
-            assert got.lo == pytest.approx(pcond(0, 2), abs=1e-12)
-            assert got.hi == pytest.approx(pcond(0, 2), abs=1e-12)
+            lo, hi = bayes_cycle([I(v, v) for v in fwd_vals], [I(v, v) for v in bwd_vals[:-1]])
+            assert lo == pytest.approx(pcond(0, 2), abs=1e-12)
+            assert hi == pytest.approx(pcond(0, 2), abs=1e-12)
 
     def test_zero_denominator_drops_refinement(self):
         wide = I(0, 1)
-        got = bayes_cycle([wide, wide, wide], [I(0, 1), I(1, 1)])
-        assert (got.lo, got.hi) == (0.0, 1.0)
+        lo, hi = bayes_cycle([wide, wide, wide], [I(0, 1), I(1, 1)])
+        assert (lo, hi) == (0.0, 1.0)
 
 
 class TestTypicality:

@@ -514,6 +514,12 @@ def _fixpoint_cases():
     yield parse_kb(STUDENTS_NUMERIC, mode="numeric")
 
 
+def distinct(contexts: list[tuple[str, ...]]) -> set[tuple[str, ...]]:
+    """The set of a list of contexts that repeats none."""
+    assert len(contexts) == len(set(contexts))
+    return set(contexts)
+
+
 class TestWorklist:
     def test_saturation_is_a_fixpoint_of_every_context(self):
         # the worklist skips contexts that cannot narrow; a full pass over
@@ -526,32 +532,64 @@ class TestWorklist:
 
     def test_contexts_that_read_an_edge(self):
         # the contexts queued after an edge narrows are exactly those that
-        # can narrow and read that edge, and the first queue is every context
-        # that can narrow
-        kb = list(random_numeric_kbs(2))[1]
-        graph = network._Graph(kb, network._domain(kb))
-        nodes = sorted(kb.nodes)
-        positive = {pair for pair in itertools.permutations(nodes, 2) if kb.interval(*pair).lo > 0}
-        informative = {pair for pair in itertools.permutations(nodes, 2)
-                       if kb.interval(*pair) != qualalg.FULL}
-        near = informative | {pair[::-1] for pair in informative}
-        assert 0 < len(positive) < len(near) < len(nodes) * (len(nodes) - 1)
-        triples = {t for t in itertools.permutations(nodes, 3) if {t[:2], t[1:]} <= near}
-        rotations = {
-            seq for k in (3, 4) for seq in itertools.permutations(nodes, k)
-            if set(zip(seq, seq[1:])) <= positive or set(zip(seq[1:], seq)) <= positive
-        }
-        assert set(graph.triples()) == triples
-        assert set(graph.rotations()) == rotations
-        for pair in itertools.permutations(nodes, 2):
-            edge = {pair, pair[::-1]}
-            if pair in near:  # the engine asks only about an edge that has just narrowed
-                assert set(graph.triples(pair)) == {
-                    t for t in triples if edge & {t[:2], t[1::-1], t[1:], t[:0:-1]}
-                }
-            assert set(graph.rotations(pair)) == {
-                seq for seq in rotations if edge & set(zip(seq, seq[1:] + seq[:1]))
+        # can narrow and read that edge, each once, and the first queue is
+        # every context that can narrow; in the chain every edge's reverse is
+        # positive too, so each path there is grown both ways
+        for kb in (list(random_numeric_kbs(2))[1], parse_kb(chain_kb(6))):
+            graph = network._Graph(kb, network._domain(kb))
+            nodes = sorted(kb.nodes)
+            positive = {pair for pair in itertools.permutations(nodes, 2)
+                        if kb.interval(*pair).lo > 0}
+            informative = {pair for pair in itertools.permutations(nodes, 2)
+                           if kb.interval(*pair) != qualalg.FULL}
+            near = informative | {pair[::-1] for pair in informative}
+            assert 0 < len(positive) < len(near) < len(nodes) * (len(nodes) - 1)
+            triples = {t for t in itertools.permutations(nodes, 3) if {t[:2], t[1:]} <= near}
+            rotations = {
+                seq for k in (3, 4) for seq in itertools.permutations(nodes, k)
+                if set(zip(seq, seq[1:])) <= positive or set(zip(seq[1:], seq)) <= positive
             }
+            assert distinct(graph.triples()) == triples
+            assert distinct(graph.rotations()) == rotations
+            for pair in itertools.permutations(nodes, 2):
+                edge = {pair, pair[::-1]}
+                if pair in near:  # the engine asks only about an edge that has just narrowed
+                    assert distinct(graph.triples(pair)) == {
+                        t for t in triples if edge & {t[:2], t[1::-1], t[1:], t[:0:-1]}
+                    }
+                assert distinct(graph.rotations(pair)) == {
+                    seq for seq in rotations if edge & set(zip(seq, seq[1:] + seq[:1]))
+                }
+
+    def test_independent_of_the_queue_order(self, monkeypatch):
+        # the fixpoint does not depend on the order of application; in numeric
+        # mode a move of at most 1e-9 ends it, so the stop point may differ by
+        # a few of those
+        def saturated(kb):
+            try:
+                sat, _ = saturate(kb)
+            except ContradictionError:
+                return None
+            assert_fixpoint(sat)
+            return sat
+
+        cases = [*_fixpoint_cases(), *itertools.islice(random_numeric_kbs(40), 10, None)]
+        cases.append(parse_kb(chain_kb(12) + "n c0 c2 0 0.05\n"))  # a clash
+        first = [saturated(kb) for kb in cases]
+        assert first[-1] is None
+        extend = network._Queue.extend
+        monkeypatch.setattr(
+            network._Queue, "extend", lambda queue, contexts: extend(queue, contexts[::-1])
+        )
+        for kb, one in zip(cases, first):
+            other = saturated(kb)
+            assert (one is None) == (other is None)
+            if one is None:
+                continue
+            for pair in itertools.permutations(kb.nodes, 2):
+                assert one.qual(*pair) == other.qual(*pair), pair
+                a, b = one.interval(*pair), other.interval(*pair)
+                assert abs(a.lo - b.lo) <= 1e-8 and abs(a.hi - b.hi) <= 1e-8, (pair, a, b)
 
     @staticmethod
     def _count_rule_calls(monkeypatch) -> collections.Counter:
