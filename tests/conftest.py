@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from linquant.network import KnowledgeBase, ingest
 from linquant.qualalg import ProbInterval, scale5, scale7, scale9
+
+SCALE7 = "@partition 0.2 0.4 0.6 0.8\n@labels none al-none few half most al-all all\n"
 
 STUDENTS_QUAL = """\
 @partition {thresholds}
@@ -112,6 +115,29 @@ def cycle_rotations(cycle: tuple[str, ...]):
     for seq in (cycle, cycle[:1] + cycle[:0:-1]):
         for r in range(len(seq)):
             yield seq[r:] + seq[:r]
+
+
+def chain_kb(n: int) -> str:
+    """An n-class chain whose neighbours overlap, and whose middle class barely meets c0."""
+    lines = [f"n c{i} c{i + 1} 0.6 0.8\nn c{i + 1} c{i} 0.55 0.85\n" for i in range(n - 1)]
+    return SCALE7 + "".join(lines) + f"n c0 c{n // 2} 0 0.1\nn c{n // 2} c0 0 0.1\n"
+
+
+def random_numeric_kbs(count: int):
+    """Seeded 5- and 6-class numeric KBs: 2k widened conditionals of one random distribution."""
+    rng = np.random.default_rng(31)
+    p = scale7()
+    for trial in range(count):
+        k = 5 + trial % 2
+        pcond = conditionals_of(rng.dirichlet(np.full(2**k, 0.5)), k)
+        kb = KnowledgeBase(p, "numeric")
+        pairs = [(f, t) for f in range(k) for t in range(k) if f != t]
+        for i in rng.permutation(len(pairs))[: 2 * k]:
+            f, t = pairs[i]
+            v = float(pcond(t, f))
+            w1, w2 = (float(w) for w in rng.uniform(0.0, 0.15, 2))
+            ingest(kb, f"n c{f} c{t} {max(0.0, v - w1)!r} {min(1.0, v + w2)!r}")
+        yield kb
 
 
 def class_masks(class_count: int) -> list[np.ndarray]:

@@ -5,8 +5,11 @@
 `tests/golden/tables/<scale>/` holds the `table.md` that `tables` writes on
 a sample scale; `tests/golden/check/<run>/` and
 `tests/golden/robustness/<run>/` hold the one JSON report, `report.json`,
-that each of those writes.  A change meant to keep every output
-keeps these files as they are.  A change meant to alter an output
+that each of those writes.  `tests/golden/saturate/<kb>.txt` holds numeric
+saturation at full precision: the trace length, then `float.hex` of both
+bounds of every ordered pair of classes.  A change meant to keep every output
+keeps these files as they are; a change to the order of arithmetic that
+alters a bound there explains its diff.  A change meant to alter an output
 regenerates them, from the repository root, with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -15,7 +18,9 @@ and explains each difference.
 """
 
 import contextlib
+import functools
 import io
+import itertools
 import shutil
 import tempfile
 from pathlib import Path
@@ -23,6 +28,9 @@ from pathlib import Path
 import pytest
 
 from linquant.cli import main
+from linquant.network import parse_kb, saturate
+
+from conftest import chain_kb, random_numeric_kbs
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
@@ -37,6 +45,29 @@ RUNS.update({f"check/n200-seed{seed}": ["check", "--n", "200", "--seed", str(see
 RUNS["robustness/default"] = ["robustness"]
 RUNS["robustness/alpha-0.36-0.40"] = ["robustness", "--alpha", "0.36:0.40:0.01"]
 REPORT = "report.json"  # `check` and `robustness` take `--out` as this file
+SATURATED = [*(f"students{kb}" for kb in ("7", "9", "_numeric")), "chain64", *(f"random{i}" for i in range(10))]
+
+
+@functools.cache
+def _saturate_cases() -> dict:
+    """The numeric KBs of `SATURATED`, by name."""
+    cases = {
+        name: parse_kb((SAMPLES / f"{name}.kb").read_text(encoding="utf-8"), "numeric")
+        for name in SATURATED[:3]
+    }
+    cases["chain64"] = parse_kb(chain_kb(64), "numeric")
+    cases.update((f"random{i}", kb) for i, kb in enumerate(random_numeric_kbs(10)))
+    return cases
+
+
+def _saturated(name: str) -> str:
+    """The trace length and the hex bounds of every pair after numeric saturation."""
+    sat, trace = saturate(_saturate_cases()[name])
+    lines = [f"trace {len(trace)}"]
+    for frm, to in itertools.permutations(sorted(sat.nodes), 2):
+        ival = sat.interval(frm, to)
+        lines.append(f"{frm} {to} {ival.lo.hex()} {ival.hi.hex()}")
+    return "\n".join(lines) + "\n"
 
 
 def _outputs(argv: list[str], out: Path) -> dict[str, str]:
@@ -62,6 +93,12 @@ def test_outputs_match_golden(tmp_path, run):
         assert got[name] == want[name], name
 
 
+@pytest.mark.parametrize("name", SATURATED)
+def test_saturation_matches_golden(name):
+    want = (GOLDEN / "saturate" / f"{name}.txt").read_text(encoding="utf-8")
+    assert _saturated(name) == want
+
+
 if __name__ == "__main__":
     for run, argv in RUNS.items():
         with tempfile.TemporaryDirectory() as tmp:
@@ -70,3 +107,6 @@ if __name__ == "__main__":
         (GOLDEN / run).mkdir(parents=True)
         for name, text in files.items():
             (GOLDEN / run / name).write_text(text, encoding="utf-8")
+    (GOLDEN / "saturate").mkdir(exist_ok=True)
+    for name in SATURATED:
+        (GOLDEN / "saturate" / f"{name}.txt").write_text(_saturated(name), encoding="utf-8")
