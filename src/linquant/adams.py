@@ -9,7 +9,7 @@ bound rather than Adams' infinitesimal guarantee.
 
 from __future__ import annotations
 
-from .bounds import SyllogismInput, syllogism_lower
+from .bounds import SyllogismInput
 from .qualalg import ProbInterval
 
 
@@ -66,7 +66,7 @@ def triangularity_via_syllogism(alpha: float) -> float:
         c_given_b=most,                    # P(C | A)
         b_given_c=ProbInterval(0.0, 1.0),  # P(A^B | C) unknown
     )
-    return syllogism_lower(inp)
+    return inp.lower()
 
 
 def bayes_via_syllogism(alpha: float) -> float:
@@ -79,4 +79,4 @@ def bayes_via_syllogism(alpha: float) -> float:
         c_given_b=most,                    # P(C | A^B)
         b_given_c=ProbInterval(0.0, 1.0),  # P(A^B | C) unknown
     )
-    return syllogism_lower(inp)
+    return inp.lower()

@@ -31,6 +31,7 @@ typicality special case P(B|A) = P(B|C) = 1.
 
 from __future__ import annotations
 
+from math import prod
 from typing import NamedTuple, Sequence
 
 from .qualalg import ProbInterval, Value
@@ -55,37 +56,57 @@ class SyllogismInput(NamedTuple):
             b_given_c=self.b_given_a,
         )
 
+    def lower(self) -> float:
+        """`syllogism_lower` on the endpoints it reads."""
+        return syllogism_lower(self.b_given_a.lo, self.a_given_b.lo, self.c_given_b.lo)
 
-def syllogism_lower(inp: SyllogismInput) -> float:
-    b, a, c = inp.b_given_a, inp.a_given_b, inp.c_given_b
-    if b.lo <= 0.0:
+    def upper(self) -> float:
+        """`syllogism_upper` on the endpoints it reads."""
+        ba, c = self.b_given_a, self.c_given_b
+        return syllogism_upper(ba.lo, ba.hi, self.a_given_b.lo, c.hi, self.b_given_c.lo)
+
+
+def syllogism_lower(ba_lo: float, ab_lo: float, cb_lo: float) -> float:
+    """lo P(C|A) from lo P(B|A), lo P(A|B) and lo P(C|B)."""
+    if ba_lo <= 0.0:
         return 0.0
-    if a.lo <= 0.0:
+    if ab_lo <= 0.0:
         # quotient term dropped; it only survives when P(C|B) is certain
-        factor = 1.0 if c.lo >= 1.0 - COND_TOL else 0.0
-    else:
-        factor = max(0.0, 1.0 - (1.0 - c.lo) / a.lo)
-    return b.lo * factor
+        return ba_lo if cb_lo >= 1.0 - COND_TOL else 0.0
+    factor = 1.0 - (1.0 - cb_lo) / ab_lo
+    return ba_lo * factor if factor > 0.0 else 0.0
 
 
-def syllogism_upper(inp: SyllogismInput) -> float:
-    b, a, c, d = inp.b_given_a, inp.a_given_b, inp.c_given_b, inp.b_given_c
-    terms = [1.0]
-    if a.lo > 0.0 and b.lo > 0.0:  # with b.lo = 0 the term is 1, and 0 * -inf would be nan
-        terms.append(1.0 - b.lo * (1.0 - c.hi / a.lo))
-    den = a.lo * d.lo
-    if den > 0.0:  # not `a.lo > 0 and d.lo > 0`: their product can underflow to 0
-        terms.append(b.hi * c.hi / den)
-        terms.append(b.hi * (1.0 + c.hi * (1.0 - d.lo) / den))
-    if a.lo > c.hi + COND_TOL:
-        den_theta = d.lo * a.lo + c.hi * (1.0 - d.lo)
+def syllogism_upper(ba_lo: float, ba_hi: float, ab_lo: float, cb_hi: float, bc_lo: float) -> float:
+    """hi P(C|A) from lo and hi P(B|A), lo P(A|B), hi P(C|B) and lo P(B|C).
+
+    The least of 1 and the terms u2..u5 of the module docstring that apply,
+    in that order; a nan term never wins.
+    """
+    best = 1.0
+    if ab_lo > 0.0 and ba_lo > 0.0:  # with ba_lo = 0 the term is 1, and 0 * -inf would be nan
+        term = 1.0 - ba_lo * (1.0 - cb_hi / ab_lo)
+        if term < best:
+            best = term
+    den = ab_lo * bc_lo
+    if den > 0.0:  # not `ab_lo > 0 and bc_lo > 0`: their product can underflow to 0
+        term = ba_hi * cb_hi / den
+        if term < best:
+            best = term
+        term = ba_hi * (1.0 + cb_hi * (1.0 - bc_lo) / den)
+        if term < best:
+            best = term
+    if ab_lo > cb_hi + COND_TOL:
+        den_theta = bc_lo * ab_lo + cb_hi * (1.0 - bc_lo)
         if den_theta > COND_TOL:
-            theta = d.lo * a.lo / den_theta
-            if b.lo <= theta + COND_TOL and theta <= b.hi + COND_TOL:
-                den5 = c.hi + d.lo * (a.lo - c.hi)
+            theta = bc_lo * ab_lo / den_theta
+            if ba_lo <= theta + COND_TOL and theta <= ba_hi + COND_TOL:
+                den5 = cb_hi + bc_lo * (ab_lo - cb_hi)
                 if den5 > COND_TOL:
-                    terms.append(c.hi / den5)
-    return min(terms)
+                    term = cb_hi / den5
+                    if term < best:
+                        best = term
+    return best
 
 
 def syllogism(inp: SyllogismInput) -> tuple[ProbInterval, ProbInterval]:
@@ -95,36 +116,30 @@ def syllogism(inp: SyllogismInput) -> tuple[ProbInterval, ProbInterval]:
     (the tests check lo <= hi + 1e-12), and `ProbInterval` closes that gap.
     """
     swapped = inp.swapped()
-    return (
-        ProbInterval(syllogism_lower(inp), syllogism_upper(inp)),
-        ProbInterval(syllogism_lower(swapped), syllogism_upper(swapped)),
-    )
+    return ProbInterval(inp.lower(), inp.upper()), ProbInterval(swapped.lower(), swapped.upper())
 
 
 def bayes_cycle(
-    forward: Sequence[ProbInterval], backward: Sequence[ProbInterval]
+    forward_lo: Sequence[float], forward_hi: Sequence[float],
+    backward_lo: Sequence[float], backward_hi: Sequence[float],
 ) -> tuple[float, float]:
     """Propose a (lo, hi) pair for the edge P(A1|Ak) of a cycle A1..Ak via the product identity.
 
-    forward[i] = P(A_{i+1}|A_{i+2}) for i < k-1 and forward[-1] = P(Ak|A1);
-    backward[i] = P(A_{i+2}|A_{i+1}) for i < k-1, so it holds one edge
-    fewer and never the target.  The identity
+    The forward premises are P(A_{i+1}|A_{i+2}) for i < k-1, then P(Ak|A1);
+    the backward ones are P(A_{i+2}|A_{i+1}) for i < k-1, one fewer, never
+    the target.  Each is given by its two ends, in that order.  The identity
 
         P(A1|Ak) = P(Ak|A1) . prod_i P(Ai|Ai+1) / P(Ai+1|Ai)
 
-    gives one bound per side, clipped to [0, 1]; a zero denominator leaves
-    that side vacuous.  Meeting the pair with the edge's current range is
-    the caller's step.
+    gives one bound per side, each product taken left to right, clipped to
+    [0, 1]; a zero denominator leaves that side vacuous.  Meeting the pair
+    with the edge's current range is the caller's step.
     """
-    if len(backward) != len(forward) - 1 or not backward:
+    if len(backward_lo) != len(forward_lo) - 1 or not backward_lo:
         raise ValueError("a cycle needs k >= 2 forward edges and k - 1 backward edges")
-    num_lo = num_hi = den_lo = den_hi = 1.0  # each product left to right, as `math.prod`
-    for f in forward:
-        num_lo, num_hi = num_lo * f.lo, num_hi * f.hi
-    for b in backward:
-        den_lo, den_hi = den_lo * b.lo, den_hi * b.hi
-    hi = 1.0 if den_lo <= 0.0 else min(1.0, num_hi / den_lo)
-    lo = 0.0 if den_hi <= 0.0 else min(1.0, num_lo / den_hi)
+    den_lo, den_hi = prod(backward_lo), prod(backward_hi)
+    hi = 1.0 if den_lo <= 0.0 else min(1.0, prod(forward_hi) / den_lo)
+    lo = 0.0 if den_hi <= 0.0 else min(1.0, prod(forward_lo) / den_hi)
     return lo, hi
 
 

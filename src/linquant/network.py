@@ -46,10 +46,11 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
+from operator import itemgetter
 from typing import NamedTuple
 
 from . import qualalg, tables
-from .bounds import SyllogismInput, bayes_cycle, syllogism_lower, syllogism_upper
+from .bounds import bayes_cycle, syllogism_lower, syllogism_upper
 from .qualalg import (
     FULL, TOL, ContradictionError, Partition, ProbInterval, QRange, UnknownNode, Value, strip_comment,
 )
@@ -114,7 +115,7 @@ class KnowledgeBase(Value):
     def informative_edges(self) -> list[tuple[str, str]]:
         """The sorted pairs whose edge says more than the vacuous range of the KB's mode."""
         domain = _domain(self)
-        return [pair for pair in sorted(self.edges) if domain.informative(domain.read(*pair))]
+        return [pair for pair in sorted(self.edges) if domain.informative(domain.edge(*pair))]
 
 
 # -- statement ingestion ---------------------------------------------------
@@ -232,10 +233,50 @@ def simple_cycles(nodes: list[str], max_len: int) -> list[tuple[str, ...]]:
 
 _MAX_CYCLE = 4  # nodes in the longest cycle the Bayes rule runs on
 _EPS = 1e-9  # numeric mode: a move of at most this is no change
+_SAME = object()  # what `narrow` returns when the edge keeps its value
 
 
-class _Intervals:
-    """Numeric mode: edges hold intervals, and a move of at most `_EPS` is no change.
+class _Store:
+    """The KB's classes numbered in sorted order, and its edges addressed u*n+v.
+
+    An edge is read from flat lists at its index; `load` copies it in from
+    `kb.edges`, the store of record, and `pair` names it again.
+    """
+
+    def __init__(self, kb: KnowledgeBase):
+        self.kb = kb
+        self.names = sorted(kb.nodes)
+        self.n = len(self.names)
+        self.index = {name: i for i, name in enumerate(self.names)}
+        self.stated = sorted(self.edge(*pair) for pair in kb.edges)  # the edges in kb.edges
+
+    def edge(self, frm: str, to: str) -> int:
+        return self.index[frm] * self.n + self.index[to]
+
+    def pair(self, e: int) -> tuple[str, str]:
+        u, v = divmod(e, self.n)
+        return self.names[u], self.names[v]
+
+    def premises(self, seq: tuple[int, ...]) -> tuple[int, itemgetter, itemgetter]:
+        """The cycle rule's target edge on the rotation A1..Ak, and getters of its premises.
+
+        The target is P(A1|Ak).  The getters take a flat list and return,
+        left to right, the forward premises P(Ai|Ai+1) for i < k, then
+        P(Ak|A1), and the backward ones P(Ai+1|Ai) for i < k, which leave
+        out the target.  Spelled out for k = 3 and 4, the only lengths.
+        """
+        n = self.n
+        if len(seq) == 3:
+            a, b, c = seq
+            return c * n + a, itemgetter(b * n + a, c * n + b, a * n + c), itemgetter(a * n + b, b * n + c)
+        a, b, c, d = seq
+        return d * n + a, itemgetter(b * n + a, c * n + b, d * n + c, a * n + d), itemgetter(
+            a * n + b, b * n + c, c * n + d
+        )
+
+
+class _Intervals(_Store):
+    """Numeric mode: each edge's two ends in flat float lists; a move of at most `_EPS` is no change.
 
     A candidate is a (lo, hi) pair, inverted by at most rounding (lo <= hi + 1e-12).
     """
@@ -245,94 +286,107 @@ class _Intervals:
     show_candidate = "[{0[0]:.6f}, {0[1]:.6f}]".format
 
     def __init__(self, kb: KnowledgeBase):
-        self.read = kb.interval
+        super().__init__(kb)
+        n = self.n
+        self.lo, self.hi = [0.0] * (n * n), [1.0] * (n * n)
+        self.lo[:: n + 1] = [1.0] * n  # P(a|a) = 1
+        for e in self.stated:
+            self.load(e)
 
-    @staticmethod
-    def informative(value: ProbInterval) -> bool:
-        return value.lo != 0.0 or value.hi != 1.0  # value != FULL, without `Value.__eq__`
+    def load(self, e: int) -> None:
+        ival = self.kb.interval(*self.pair(e))
+        self.lo[e], self.hi[e] = ival.lo, ival.hi
 
-    @staticmethod
-    def positive(value: ProbInterval) -> bool:
-        return value.lo > 0.0
+    def value(self, e: int) -> ProbInterval:
+        return ProbInterval(self.lo[e], self.hi[e])
 
-    @staticmethod
-    def narrow(old: ProbInterval, candidate) -> ProbInterval | None:
-        lo = candidate[0] if candidate[0] > old.lo else old.lo  # the meet, without max and min
-        hi = candidate[1] if candidate[1] < old.hi else old.hi
+    def informative(self, e: int) -> bool:
+        return self.lo[e] != 0.0 or self.hi[e] != 1.0
+
+    def positive(self, e: int) -> bool:
+        return self.lo[e] > 0.0
+
+    def narrow(self, e: int, candidate):
+        old_lo, old_hi = self.lo[e], self.hi[e]
+        lo = candidate[0] if candidate[0] > old_lo else old_lo  # the meet, without max and min
+        hi = candidate[1] if candidate[1] < old_hi else old_hi
         if lo > hi + TOL:
             return None
         hi = hi if hi > lo else lo
-        if lo - old.lo <= _EPS and old.hi - hi <= _EPS:
-            return old
+        if lo - old_lo <= _EPS and old_hi - hi <= _EPS:
+            return _SAME
         return ProbInterval(lo, hi)
 
     @staticmethod
     def statement(new: ProbInterval) -> tuple[ProbInterval, None]:
         return new, None
 
-    @staticmethod
-    def syllogism(kb, abc):
-        a, b, c = abc
-        get = kb.edges.get  # not `kb.interval`: a context names distinct nodes, so no self edge
-        inp = SyllogismInput(
-            get((a, b), _VACUOUS).interval, get((b, a), _VACUOUS).interval,
-            get((b, c), _VACUOUS).interval, get((c, b), _VACUOUS).interval,
+    def syllogism(self, context):
+        a, b, c = context
+        n, lo = self.n, self.lo
+        ab, bc = a * n + b, b * n + c  # P(b|a) and P(c|b); P(a|b) and P(b|c) are their reverses
+        ba, cb = b * n + a, c * n + b
+        return a * n + c, (
+            syllogism_lower(lo[ab], lo[ba], lo[bc]),
+            syllogism_upper(lo[ab], self.hi[ab], lo[ba], self.hi[bc], lo[cb]),
         )
-        return (a, c), (syllogism_lower(inp), syllogism_upper(inp))
 
-    @staticmethod
-    def cycle(kb, seq):
-        get = kb.edges.get
-        forward, backward = [], []  # the premises that `_cycle_edges` names
-        for x, y in zip(seq, seq[1:]):
-            forward.append(get((y, x), _VACUOUS).interval)
-            backward.append(get((x, y), _VACUOUS).interval)
-        forward.append(get((seq[0], seq[-1]), _VACUOUS).interval)
-        return (seq[-1], seq[0]), bayes_cycle(forward, backward)
+    def cycle(self, context):
+        target, forward, backward = self.premises(context)
+        lo, hi = self.lo, self.hi
+        return target, bayes_cycle(forward(lo), forward(hi), backward(lo), backward(hi))
 
 
-class _Labels:
-    """Qualitative mode: edges hold label ranges; their lattice is finite, so equality ends it."""
+class _Labels(_Store):
+    """Qualitative mode: each edge's label range in a flat list; their lattice is finite, so equality ends it."""
 
     cycle_phase = "gbt"
 
     def __init__(self, kb: KnowledgeBase):
-        self.read = kb.qual
-        self.show = self.show_candidate = kb.partition.name_of
-        self.partition = kb.partition
-        self.full = kb.partition.full_range()
+        super().__init__(kb)
+        p = self.partition = kb.partition
+        self.show = self.show_candidate = p.name_of
+        self.full = p.full_range()
+        n = self.n
+        self.q = [self.full] * (n * n)
+        self.q[:: n + 1] = [QRange(p.top, p.top)] * n  # P(a|a) = 1
+        for e in self.stated:
+            self.load(e)
 
-    def informative(self, value: QRange) -> bool:
-        return value != self.full
+    def load(self, e: int) -> None:
+        self.q[e] = self.kb.qual(*self.pair(e))
 
-    @staticmethod
-    def positive(value: QRange) -> bool:
-        return value.low > 0
+    def value(self, e: int) -> QRange:
+        return self.q[e]
 
-    def narrow(self, old: QRange, candidate: QRange) -> QRange | None:
+    def informative(self, e: int) -> bool:
+        return self.q[e] != self.full
+
+    def positive(self, e: int) -> bool:
+        return self.q[e].low > 0
+
+    def narrow(self, e: int, candidate: QRange):
+        old = self.q[e]
         new = qualalg.meet(old, candidate)
         if new is None:  # no common label: consistent only on a threshold where both touch
-            return old if self.partition.touch(old, candidate) else None
-        return old if new == old else new
+            return _SAME if self.partition.touch(old, candidate) else None
+        return _SAME if new == old else new
 
     def statement(self, new: QRange) -> tuple[ProbInterval, QRange]:
         return self.partition.semantics(new), new
 
-    @staticmethod
-    def syllogism(kb, abc):
-        a, b, c = abc
-        q5 = eval_extended(
-            kb.partition, kb.qual(a, b), kb.qual(b, a), kb.qual(c, b), kb.qual(b, c)
-        )
-        return (a, c), q5
+    def syllogism(self, context):
+        a, b, c = context
+        n, q = self.n, self.q
+        return a * n + c, eval_extended(self.partition, q[a * n + b], q[b * n + a], q[c * n + b], q[b * n + c])
 
-    @staticmethod
-    def cycle(kb, seq):
-        return (seq[-1], seq[0]), gbt_qualitative(kb, seq)
+    def cycle(self, context):
+        target, forward, backward = self.premises(context)
+        return target, gbt_qualitative(self.partition, forward(self.q), backward(self.q))
 
 
 def _domain(kb: KnowledgeBase):
-    """The mode's domain: how its edges are read, shown, narrowed and written."""
+    """The mode's domain: how its edges are stored, read, shown, narrowed and written."""
     return _Labels(kb) if kb.mode == "qualitative" else _Intervals(kb)
 
 
@@ -340,137 +394,145 @@ def saturate(kb: KnowledgeBase) -> tuple[KnowledgeBase, list[TraceStep]]:
     """Run the syllogism and the cycle rule to a fixpoint; returns a copy and its trace.
 
     Two first-in first-out queues hold the contexts still to apply: node
-    triples for the syllogism and cycle rotations for the cycle rule.  They
-    start with every context that can narrow (see the module docstring) and
-    the syllogism queue drains before each rotation, so the syllogism phase
-    runs first and again after every rotation that narrows an edge.  When
-    an edge narrows, the contexts that read it are queued again, each at
-    most once at a time, in the order `_Graph` lists them; saturation ends
-    when both queues are empty.  A narrowed value reaches its edge through
-    `_constrain`, so a stated range that it leaves no label of is a clash,
-    as at ingestion.
+    triples for the syllogism and cycle rotations for the cycle rule, both
+    as tuples of class numbers.  They start with every context that can
+    narrow (see the module docstring) and the syllogism queue drains before
+    each rotation, so the syllogism phase runs first and again after every
+    rotation that narrows an edge.  When an edge narrows, the contexts that
+    read it are queued again, each at most once at a time, in the order
+    `_Graph` lists them; saturation ends when both queues are empty.  A
+    narrowed value reaches its edge through `_constrain`, so a stated range
+    that it leaves no label of is a clash, as at ingestion, and the store
+    loads the edge back from `kb.edges`.
     """
     out = kb.copy()
     trace: list[TraceStep] = []
     domain = _domain(out)
-    graph = _Graph(out, domain)
+    graph = _Graph(domain)
+    names = domain.names
     rules = (("syllogism", domain.syllogism), (domain.cycle_phase, domain.cycle))
+    narrow = domain.narrow
     queues = (_Queue(graph.triples()), _Queue(graph.rotations()))
     while queues[0] or queues[1]:
         i = 0 if queues[0] else 1
         phase, rule = rules[i]
-        context = queues[i].pop()
-        target, candidate = rule(out, context)
-        old = domain.read(*target)
-        new = domain.narrow(old, candidate)
+        context = queues[i].take()
+        target, candidate = rule(context)
+        new = narrow(target, candidate)
+        if new is _SAME:
+            continue
+        shown = tuple(names[x] for x in context)
+        pair = domain.pair(target)
+        old = domain.show(domain.value(target))
         if new is None:
             raise ContradictionError(
-                f"{phase} ({', '.join(context)}) empties edge {target[0]} -> {target[1]}: "
-                f"{domain.show(old)} meets {domain.show_candidate(candidate)}",
+                f"{phase} ({', '.join(shown)}) empties edge {pair[0]} -> {pair[1]}: "
+                f"{old} meets {domain.show_candidate(candidate)}",
                 trace[-20:],
             )
-        if new is not old:
-            try:
-                _constrain(out, *target, *domain.statement(new))
-            except ContradictionError as exc:  # the interval left no label of a stated range
-                raise ContradictionError(
-                    f"{phase} ({', '.join(context)}): {exc}", trace[-20:]
-                ) from None
-            trace.append(TraceStep(phase, context, target, domain.show(old), domain.show(new)))
-            graph.add(target, new)
-            queues[0].extend(graph.triples(target))
-            queues[1].extend(graph.rotations(target))
+        try:
+            _constrain(out, *pair, *domain.statement(new))
+        except ContradictionError as exc:  # the interval left no label of a stated range
+            raise ContradictionError(f"{phase} ({', '.join(shown)}): {exc}", trace[-20:]) from None
+        domain.load(target)
+        trace.append(TraceStep(phase, shown, pair, old, domain.show(new)))
+        edge = divmod(target, domain.n)
+        graph.add(*edge)
+        queues[0].extend(graph.triples(edge))
+        queues[1].extend(graph.rotations(edge))
     return out, trace
 
 
 class _Graph:
     """The edges that decide which contexts can narrow, updated as edges narrow.
 
-    `near[b]` holds the nodes with an informative edge to or from b, and
-    `succ[x]` and `pred[y]` the edges x -> y with a positive lower bound.
-    An edge only narrows, so it never leaves them.  They are dicts, so they
-    iterate in insertion order whatever the string hash seed.
+    `near[b]` holds the classes with an informative edge to or from class b,
+    and `succ[x]` and `pred[y]` the edges x -> y with a positive lower bound,
+    all by class number.  An edge only narrows, so it never leaves them.
+    They are dicts, so they iterate in insertion order, which follows the
+    class numbers.
     """
 
-    def __init__(self, kb: KnowledgeBase, domain):
+    def __init__(self, domain: _Store):
         self.domain = domain
-        nodes = sorted(kb.nodes)
-        self.near: dict[str, dict] = {x: {} for x in nodes}
-        self.succ: dict[str, dict] = {x: {} for x in nodes}
-        self.pred: dict[str, dict] = {x: {} for x in nodes}
-        for pair in sorted(kb.edges):
-            self.add(pair, domain.read(*pair))
+        n = domain.n
+        self.near: list[dict] = [{} for _ in range(n)]
+        self.succ: list[dict] = [{} for _ in range(n)]
+        self.pred: list[dict] = [{} for _ in range(n)]
+        for e in domain.stated:
+            self.add(*divmod(e, n))
 
-    def add(self, pair: tuple[str, str], value) -> None:
-        u, v = pair
-        if self.domain.informative(value):
+    def add(self, u: int, v: int) -> None:
+        e = u * self.domain.n + v
+        if self.domain.informative(e):
             self.near[u][v] = self.near[v][u] = True
-        if self.domain.positive(value):
+        if self.domain.positive(e):
             self.succ[u][v] = self.pred[v][u] = True
 
-    def triples(self, pair: tuple[str, str] | None = None) -> list[tuple[str, str, str]]:
+    def triples(self, pair: tuple[int, int] | None = None) -> list[tuple[int, int, int]]:
         """Syllogisms (a, b, c) with a and c near b; if `pair` is given, those that read it."""
         if pair is None:
-            return [(a, b, c) for b, ab in self.near.items() for a in ab for c in ab if a != c]
+            return [(a, b, c) for b, ab in enumerate(self.near) for a in ab for c in ab if a != c]
         return [
             triple
             for b, other in (pair, pair[::-1]) for x in self.near[b] if x != other
             for triple in ((other, b, x), (x, b, other))
         ]
 
-    def rotations(self, pair: tuple[str, str] | None = None) -> list[tuple[str, ...]]:
-        """Rotations that run along a positive path forward or backward.
+    def rotations(self, pair: tuple[int, int] | None = None) -> list[tuple[int, ...]]:
+        """Rotations of 3 and 4 classes that run along a positive path forward or backward.
 
         If `pair` is given, only those that read it.  A rotation reads every
-        edge of its cycle, so a path whose cycle has the edge (u, v) either
-        steps between u and v or runs from one to the other.
+        edge of its cycle, so a path whose cycle has the edge (x, y) either
+        steps from x to y, with the other classes after y, before x, or one
+        on each side, or runs from x to y.  Each path is grown from its
+        start, or from its step, one class at a time along `succ` and `pred`;
+        no class is its own successor.
         """
-        sizes = range(3, _MAX_CYCLE + 1)
+        succ, pred = self.succ, self.pred
+        paths = []
         if pair is None:
-            paths = [path for x in self.succ for k in sizes for path in self._grow((x,), 0, k - 1)]
+            for x, after in enumerate(succ):
+                three = [(x, w, z) for w in after for z in succ[w] if z != x]
+                paths += three
+                paths += [path + (z,) for path in three for z in succ[path[2]] if z not in path]
         else:
-            paths = []
-            for (x, y), k in itertools.product((pair, pair[::-1]), sizes):
-                if y in self.succ[x]:
-                    for left in range(k - 1):
-                        paths += self._grow((x, y), left, k - 2 - left)
+            for x, y in (pair, pair[::-1]):
+                step = y in succ[x]
+                if step:
+                    after = [(x, y, w) for w in succ[y] if w != x]
+                    before = [(w, x, y) for w in pred[x] if w != y]
+                    paths += after + before
+                paths += [(x, w, y) for w in succ[x] if w != y and y in succ[w]]
+                if step:
+                    paths += [path + (z,) for path in after for z in succ[path[2]] if z not in path]
+                    paths += [path + (z,) for path in before for z in succ[y] if z not in path]
+                    paths += [(z,) + path for path in before for z in pred[path[0]] if z not in path]
                 paths += [
-                    path + (y,) for path in self._grow((x,), 0, k - 2)
-                    if y not in path and y in self.succ[path[-1]]
+                    (x, w, z, y)
+                    for w in succ[x] if w != y for z in succ[w] if z != x and z != y and y in succ[z]
                 ]
         # a path whose reverse is positive too is grown twice, once each way
         return list(dict.fromkeys([seq for path in paths for seq in (path, path[::-1])]))
 
-    def _grow(self, path: tuple[str, ...], left: int, right: int) -> list[tuple[str, ...]]:
-        """The positive paths that extend `path` by `left` nodes before it and `right` after it."""
-        paths = [path]
-        for _ in range(left):
-            paths = [(w,) + p for p in paths for w in self.pred[p[0]] if w not in p]
-        for _ in range(right):
-            paths = [p + (w,) for p in paths for w in self.succ[p[-1]] if w not in p]
-        return paths
 
-
-class _Queue:
+class _Queue(deque):
     """Contexts waiting for their rule, first in first out, each queued at most once."""
 
-    def __init__(self, contexts: list[tuple[str, ...]]):
-        self._items: deque[tuple[str, ...]] = deque()
-        self._queued: set[tuple[str, ...]] = set()
+    def __init__(self, contexts: list[tuple[int, ...]]):
+        super().__init__()
+        self.queued: set[tuple[int, ...]] = set()
         self.extend(contexts)
 
-    def __bool__(self) -> bool:
-        return bool(self._items)
-
-    def extend(self, contexts: list[tuple[str, ...]]) -> None:
+    def extend(self, contexts: list[tuple[int, ...]]) -> None:
         """Queue, in the order given, the contexts not queued yet; `contexts` repeats none."""
-        fresh = [context for context in contexts if context not in self._queued]
-        self._queued.update(fresh)
-        self._items.extend(fresh)
+        fresh = [context for context in contexts if context not in self.queued]
+        self.queued.update(fresh)
+        super().extend(fresh)
 
-    def pop(self) -> tuple[str, ...]:
-        context = self._items.popleft()
-        self._queued.remove(context)
+    def take(self) -> tuple[int, ...]:
+        context = self.popleft()
+        self.queued.remove(context)
         return context
 
 
@@ -485,33 +547,21 @@ def gen_table_cached(p: Partition) -> SyllogismTable:
     return _table_cache[key]
 
 
-def _cycle_edges(seq: tuple[str, ...]):
-    """Premise pairs for a cycle A1..Ak whose target is P(A1|Ak).
-
-    Forward P(Ai|Ai+1) for i < k, then P(Ak|A1); backward P(Ai+1|Ai) for
-    i < k, which leaves out the target.
-    """
-    forward = [(y, x) for x, y in zip(seq, seq[1:])] + [(seq[0], seq[-1])]
-    backward = list(zip(seq, seq[1:]))
-    return forward, backward
-
-
-def gbt_qualitative(kb: KnowledgeBase, cycle: tuple[str, ...]) -> QRange:
+def gbt_qualitative(p: Partition, forward: list[QRange], backward: list[QRange]) -> QRange:
     """Qualitative cycle rule: products first, one truncated quotient.
 
-    For the cycle A1..Ak this proposes for P(A1|Ak) the range
+    On the premises of `bayes_cycle`, as label ranges, this proposes for
+    P(A1|Ak) the range
     qdiv(qmul(P(Ak|A1), P(A1|A2), .., P(Ak-1|Ak)), qmul(P(A2|A1), .., P(Ak|Ak-1))),
-    or the full range when the denominator is identically `none`, as in
-    `bayes_cycle`.  It does not read P(A1|Ak) itself.
+    or the full range when the denominator is identically `none`, as
+    `bayes_cycle` does.  It does not read P(A1|Ak) itself.
     """
-    p = kb.partition
-    fwd_pairs, bwd_pairs = _cycle_edges(cycle)
-    num = kb.qual(*fwd_pairs[-1])  # reverse edge P(Ak|A1)
-    for pair in fwd_pairs[:-1]:
-        num = p.qmul(num, kb.qual(*pair))
-    den = kb.qual(*bwd_pairs[0])
-    for pair in bwd_pairs[1:]:
-        den = p.qmul(den, kb.qual(*pair))
+    num = forward[-1]  # reverse edge P(Ak|A1)
+    for q in forward[:-1]:
+        num = p.qmul(num, q)
+    den = backward[0]
+    for q in backward[1:]:
+        den = p.qmul(den, q)
     return p.full_range() if den.high == 0 else p.qdiv(num, den)
 
 
@@ -529,7 +579,8 @@ def statements(kb: KnowledgeBase) -> list[str]:
     """Readable rendering of every informative edge."""
     domain = _domain(kb)
     return [
-        f"{frm} -> {to} : {domain.show(domain.read(frm, to))}" for frm, to in kb.informative_edges()
+        f"{frm} -> {to} : {domain.show(domain.value(domain.edge(frm, to)))}"
+        for frm, to in kb.informative_edges()
     ]
 
 

@@ -32,8 +32,9 @@ class SyllogismTable(NamedTuple):
 
 def _bounds(h1: ProbInterval, h2: ProbInterval, h3: ProbInterval, h4: ProbInterval) -> ProbInterval:
     """Numeric P(C|A) bounds from the hulls of Q1..Q4."""
-    inp = SyllogismInput(b_given_a=h1, a_given_b=h2, c_given_b=h4, b_given_c=h3)
-    return ProbInterval(syllogism_lower(inp), syllogism_upper(inp))
+    return ProbInterval(
+        syllogism_lower(h1.lo, h2.lo, h4.lo), syllogism_upper(h1.lo, h1.hi, h2.lo, h4.hi, h3.lo)
+    )
 
 
 def _hull_bounds(p: Partition, r1: QRange, r2: QRange, r3: QRange, r4: QRange) -> ProbInterval:
@@ -261,7 +262,7 @@ def robust_core_check(alpha: float) -> list[CoreRowVerdict]:
             b_given_c=box[names[2]],
             c_given_b=box[names[3]],
         )
-        computed = syllogism_upper(inp) if kind == "upper" else syllogism_lower(inp)
+        computed = inp.upper() if kind == "upper" else inp.lower()
         verdicts.append(CoreRowVerdict(names, kind, computed, analytic, inp))
     return verdicts
 

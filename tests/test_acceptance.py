@@ -20,7 +20,7 @@ import numpy as np
 
 from linquant import adams, network, qualalg, tables
 from linquant.bounds import SyllogismInput, syllogism
-from linquant.network import gbt_qualitative, parse_kb, saturate, simple_cycles
+from linquant.network import parse_kb, saturate, simple_cycles
 from linquant.oracle import (
     adams_oracle_problems,
     class_event,
@@ -410,11 +410,10 @@ def test_c11_gbt_negative_results():
     if any(step.phase == "gbt" for step in trace):
         failures.append("cycle phase changed the student knowledge base")
     domain = network._domain(sat)
-    for cycle in simple_cycles(sat.nodes, 4):
+    for cycle in simple_cycles(range(domain.n), 4):
         for seq in cycle_rotations(cycle):
-            current = sat.qual(seq[-1], seq[0])
-            if domain.narrow(current, gbt_qualitative(sat, seq)) is not current:
-                failures.append(f"cycle {seq} would still refine after saturation")
+            if domain.narrow(*domain.cycle(seq)) is not network._SAME:
+                failures.append(f"cycle {[domain.names[x] for x in seq]} would still refine after saturation")
     verdict(11, "qualitative cycle-rule limits", failures)
 
 

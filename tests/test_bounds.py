@@ -49,45 +49,45 @@ def oracle_range(inp: SyllogismInput) -> I:
 
 class TestLower:
     def test_worked_instance(self):
-        assert syllogism_lower(WORKED) == pytest.approx(0.45, abs=1e-12)
+        assert WORKED.lower() == syllogism_lower(0.6, 0.8, 0.8) == pytest.approx(0.45, abs=1e-12)
 
     def test_certain_chain(self):
-        assert syllogism_lower(ALL_ONES) == 1.0
+        assert ALL_ONES.lower() == 1.0
 
     def test_vacuous_first_factor(self):
         inp = SyllogismInput(I(0, 1), I(0.8, 1), I(0.8, 1), I(0.4, 0.6))
-        assert syllogism_lower(inp) == 0.0
+        assert inp.lower() == 0.0
 
 
 class TestUpper:
     def test_worked_instance(self):
-        assert syllogism_upper(WORKED) == 1.0
+        assert WORKED.upper() == syllogism_upper(0.6, 0.8, 0.8, 1.0, 0.4) == 1.0
 
     def test_certain_chain(self):
-        assert syllogism_upper(ALL_ONES) == 1.0
+        assert ALL_ONES.upper() == 1.0
 
     def test_crossing_term(self):
         # frozen from the LP oracle: [0.0, 0.4]; the naive four-term
         # minimum stops at 0.45
         inp = SyllogismInput(I(0.6, 0.9), I(0.8, 0.8), I(0.2, 0.2), I(0.5, 0.5))
-        assert syllogism_upper(inp) == pytest.approx(0.4, abs=1e-12)
+        assert inp.upper() == pytest.approx(0.4, abs=1e-12)
         rng = oracle_range(inp)
         assert rng.hi == pytest.approx(0.4, abs=1e-6)
 
     def test_crossing_term_condition_not_met(self):
         # same box but P(B|A) pinned above the crossing point 0.8
         inp = SyllogismInput(I(0.85, 0.9), I(0.8, 0.8), I(0.2, 0.2), I(0.5, 0.5))
-        got = syllogism_upper(inp)
+        got = inp.upper()
         assert got == pytest.approx(oracle_range(inp).hi, abs=1e-6)
         assert got < 0.4  # the increasing term evaluated at 0.9 no longer binds
 
     def test_underflowing_denominator(self):
         # lo(A|B) . lo(B|C) = 1e-400 underflows to 0, so u3 and u4 drop out
         tiny = SyllogismInput(I(0.5, 0.6), I(1e-200, 0.5), I(0.5, 0.6), I(1e-200, 0.5))
-        assert syllogism_upper(tiny) == 1.0
+        assert tiny.upper() == 1.0
         # where the product does not underflow, u3 is the formula as written
         small = SyllogismInput(I(0.0, 1e-210), I(1e-100, 0.5), I(0.5, 0.6), I(1e-100, 0.5))
-        assert syllogism_upper(small) == 1e-210 * 0.6 / (1e-100 * 1e-100)
+        assert small.upper() == 1e-210 * 0.6 / (1e-100 * 1e-100)
 
 
 class TestSyllogism:
@@ -112,7 +112,18 @@ class TestSyllogism:
     def test_zero_weight_with_overflowing_quotient(self):
         # lo(B|A) = 0 makes u2 exactly 1; hi(C|B) / lo(A|B) overflows, and 0 * -inf would be nan
         inp = SyllogismInput(I(0, 0.5), I(5e-324, 0.5), I(0.5, 0.6), I(0.5, 0.5))
-        assert syllogism_upper(inp) == 1.0
+        assert inp.upper() == 1.0
+
+    def test_reads_only_its_endpoints(self):
+        # neither bound reads hi(A|B) or hi(B|C), and the lower bound reads no upper end
+        rng = np.random.default_rng(4)
+        for _ in range(100):
+            inp = SyllogismInput(*(random_subinterval(rng) for _ in range(4)))
+            b, a, c, d = inp
+            for top in (lambda x: 1.0, lambda x: x):
+                other = SyllogismInput(b, I(a.lo, top(a.lo)), c, I(d.lo, top(d.lo)))
+                assert (other.lower(), other.upper()) == (inp.lower(), inp.upper())
+            assert SyllogismInput(I(b.lo, 1.0), a, I(c.lo, 1.0), d).lower() == inp.lower()
 
     def test_role_swap_symmetry(self):
         rng = np.random.default_rng(5)
@@ -147,7 +158,7 @@ class TestSyllogism:
         # why the syllogism needs no guard against an inverted result
         inp = SyllogismInput(*(I(min(e), max(e)) for e in ends))
         for case in (inp, inp.swapped()):
-            assert syllogism_lower(case) <= syllogism_upper(case) + 1e-12
+            assert case.lower() <= case.upper() + 1e-12
 
     def test_sound_against_oracle(self):
         rng = np.random.default_rng(7)
@@ -171,8 +182,7 @@ class TestSyllogism:
 
 class TestBayesCycle:
     def test_identity_chain(self):
-        one = I(1, 1)
-        lo, hi = bayes_cycle([one, one, one], [one, one])
+        lo, hi = bayes_cycle([1.0] * 3, [1.0] * 3, [1.0] * 2, [1.0] * 2)
         assert (lo, hi) == (1.0, 1.0)
 
     def test_pins_known_distribution(self):
@@ -183,13 +193,12 @@ class TestBayesCycle:
             fwd_vals = [pcond(0, 1), pcond(1, 2), pcond(2, 0)]
             bwd_vals = [pcond(1, 0), pcond(2, 1), pcond(0, 2)]
             assert math.prod(fwd_vals) / math.prod(bwd_vals) == pytest.approx(1.0, abs=1e-12)
-            lo, hi = bayes_cycle([I(v, v) for v in fwd_vals], [I(v, v) for v in bwd_vals[:-1]])
+            lo, hi = bayes_cycle(fwd_vals, fwd_vals, bwd_vals[:-1], bwd_vals[:-1])
             assert lo == pytest.approx(pcond(0, 2), abs=1e-12)
             assert hi == pytest.approx(pcond(0, 2), abs=1e-12)
 
     def test_zero_denominator_drops_refinement(self):
-        wide = I(0, 1)
-        lo, hi = bayes_cycle([wide, wide, wide], [I(0, 1), I(1, 1)])
+        lo, hi = bayes_cycle([0.0] * 3, [1.0] * 3, [0.0, 1.0], [1.0, 1.0])
         assert (lo, hi) == (0.0, 1.0)
 
 

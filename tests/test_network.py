@@ -84,9 +84,10 @@ class TestIngest:
 
     def test_derived_range_touching_the_edge_keeps_the_edge(self, p7):
         # unlike two statements, which keep the upper range (above)
-        labels = network._domain(KnowledgeBase(p7, "qualitative"))
+        labels = network._domain(parse_kb(SCALE7 + "q a b half\nq b a most\n", "qualitative"))
         half, most = p7.range_of("half"), p7.range_of("most")
-        assert labels.narrow(half, most) is half and labels.narrow(most, half) is most
+        assert labels.narrow(labels.edge("a", "b"), most) is network._SAME
+        assert labels.narrow(labels.edge("b", "a"), half) is network._SAME
 
     @pytest.mark.parametrize("lines", [
         ["q a b none", "q a b al-none"],
@@ -477,16 +478,23 @@ n c09 c03 0.010 0.158
 
 
 def assert_fixpoint(sat: KnowledgeBase) -> None:
-    """One more pass of both rules over every context narrows no edge."""
+    """One more pass of both rules over every context, by class number, narrows no edge."""
     domain = network._domain(sat)
-    nodes = sorted(sat.nodes)
-    rotations = itertools.chain.from_iterable(map(cycle_rotations, simple_cycles(nodes, 4)))
-    for rule, contexts in ((domain.syllogism, itertools.permutations(nodes, 3)),
+    classes = range(domain.n)
+    rotations = itertools.chain.from_iterable(map(cycle_rotations, simple_cycles(classes, 4)))
+    for rule, contexts in ((domain.syllogism, itertools.permutations(classes, 3)),
                            (domain.cycle, rotations)):
         for context in contexts:
-            target, candidate = rule(sat, context)
-            old = domain.read(*target)  # read once: `kb.qual` builds a new range per call
-            assert domain.narrow(old, candidate) is old, (context, domain.show(old))
+            target, candidate = rule(context)
+            assert domain.narrow(target, candidate) is network._SAME, (
+                [domain.names[x] for x in context], domain.show(domain.value(target))
+            )
+
+
+def gbt(kb: KnowledgeBase, seq: tuple[str, ...]):
+    """The qualitative cycle rule's candidate on the rotation `seq` of class names."""
+    domain = network._domain(kb)
+    return domain.cycle(tuple(domain.index[name] for name in seq))[1]
 
 
 def _fixpoint_cases():
@@ -522,12 +530,13 @@ class TestWorklist:
         # every context that can narrow; in the chain every edge's reverse is
         # positive too, so each path there is grown both ways
         for kb in (list(random_numeric_kbs(2))[1], parse_kb(chain_kb(6))):
-            graph = network._Graph(kb, network._domain(kb))
-            nodes = sorted(kb.nodes)
-            positive = {pair for pair in itertools.permutations(nodes, 2)
-                        if kb.interval(*pair).lo > 0}
-            informative = {pair for pair in itertools.permutations(nodes, 2)
-                           if kb.interval(*pair) != qualalg.FULL}
+            graph = network._Graph(network._domain(kb))
+            names = graph.domain.names
+            nodes = range(len(names))
+            positive = {(u, v) for u, v in itertools.permutations(nodes, 2)
+                        if kb.interval(names[u], names[v]).lo > 0}
+            informative = {(u, v) for u, v in itertools.permutations(nodes, 2)
+                           if kb.interval(names[u], names[v]) != qualalg.FULL}
             near = informative | {pair[::-1] for pair in informative}
             assert 0 < len(positive) < len(near) < len(nodes) * (len(nodes) - 1)
             triples = {t for t in itertools.permutations(nodes, 3) if {t[:2], t[1:]} <= near}
@@ -667,8 +676,8 @@ class TestGBT:
         for line in ("q a b all", "q b a all", "q b c all", "q c b all",
                      "q c a all", "q a c all"):
             ingest(kb, line)
-        got = gbt_qualitative(kb, ("a", "b", "c"))
-        assert got == p7.range_of("all")
+        assert gbt(kb, ("a", "b", "c")) == p7.range_of("all")
+        assert gbt_qualitative(p7, [p7.range_of("all")] * 3, [p7.range_of("all")] * 2) == p7.range_of("all")
 
     def test_never_sharper_than_few_all(self, p5):
         # interior-label chains; the quotient of their products can at best
@@ -685,7 +694,7 @@ class TestGBT:
                 kb.add_node(f)
                 kb.add_node(t)
                 kb.edges[(f, t)] = network.Edge(p5.semantics(q), q)
-            got = gbt_qualitative(kb, names)
+            got = gbt(kb, names)
             assert p5.specificity_level(got) >= min(
                 floor_level, p5.specificity_level(kb.qual("c", "a"))
             )
@@ -695,10 +704,9 @@ class TestGBT:
         sat, trace = saturate(kb)
         assert all(step.phase != "gbt" for step in trace)
         domain = network._domain(sat)
-        for cycle in simple_cycles(sat.nodes, 4):
+        for cycle in simple_cycles(range(domain.n), 4):
             for seq in cycle_rotations(cycle):
-                current = sat.qual(seq[-1], seq[0])
-                assert domain.narrow(current, gbt_qualitative(sat, seq)) is current
+                assert domain.narrow(*domain.cycle(seq)) is network._SAME
 
 
 class TestQuery:
