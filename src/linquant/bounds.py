@@ -24,9 +24,21 @@ contributes no constraint.  The endpoint choices in u3/u4 are the ones
 certified tight against the exact LP oracle (see tests); a transcription
 with hi(B|C) in the denominators is provably unsound.
 
-The module also provides the cycle form of Bayes' theorem, which proposes
-a (lo, hi) pair as the two syllogism ends do, and the closed form for the
-typicality special case P(B|A) = P(B|C) = 1.
+The closed forms take the endpoint floats they read, so a caller that
+keeps bounds in flat lists builds no interval to call them:
+
+    syllogism_lower(lo(B|A), lo(A|B), lo(C|B))
+    syllogism_upper(lo(B|A), hi(B|A), lo(A|B), hi(C|B), lo(B|C))
+
+Six endpoints in all; hi(A|B) and hi(B|C) are never read.
+`SyllogismInput.lower` and `.upper` pick these ends from four intervals,
+and `syllogism(inp)` bounds both P(C|A) and P(A|C) with them.
+
+The module also provides the cycle form of Bayes' theorem,
+`bayes_cycle(forward_lo, forward_hi, backward_lo, backward_hi)`, which takes
+both ends of every premise and proposes a (lo, hi) pair as the two
+syllogism ends do, and the closed form for the typicality special case
+P(B|A) = P(B|C) = 1.
 """
 
 from __future__ import annotations
@@ -72,30 +84,21 @@ def syllogism_lower(ba_lo: float, ab_lo: float, cb_lo: float) -> float:
         return 0.0
     if ab_lo <= 0.0:
         # quotient term dropped; it only survives when P(C|B) is certain
-        return ba_lo if cb_lo >= 1.0 - COND_TOL else 0.0
-    factor = 1.0 - (1.0 - cb_lo) / ab_lo
-    return ba_lo * factor if factor > 0.0 else 0.0
+        factor = 1.0 if cb_lo >= 1.0 - COND_TOL else 0.0
+    else:
+        factor = max(0.0, 1.0 - (1.0 - cb_lo) / ab_lo)
+    return ba_lo * factor
 
 
 def syllogism_upper(ba_lo: float, ba_hi: float, ab_lo: float, cb_hi: float, bc_lo: float) -> float:
-    """hi P(C|A) from lo and hi P(B|A), lo P(A|B), hi P(C|B) and lo P(B|C).
-
-    The least of 1 and the terms u2..u5 of the module docstring that apply,
-    in that order; a nan term never wins.
-    """
-    best = 1.0
+    """hi P(C|A) from lo and hi P(B|A), lo P(A|B), hi P(C|B) and lo P(B|C)."""
+    terms = [1.0]
     if ab_lo > 0.0 and ba_lo > 0.0:  # with ba_lo = 0 the term is 1, and 0 * -inf would be nan
-        term = 1.0 - ba_lo * (1.0 - cb_hi / ab_lo)
-        if term < best:
-            best = term
+        terms.append(1.0 - ba_lo * (1.0 - cb_hi / ab_lo))
     den = ab_lo * bc_lo
     if den > 0.0:  # not `ab_lo > 0 and bc_lo > 0`: their product can underflow to 0
-        term = ba_hi * cb_hi / den
-        if term < best:
-            best = term
-        term = ba_hi * (1.0 + cb_hi * (1.0 - bc_lo) / den)
-        if term < best:
-            best = term
+        terms.append(ba_hi * cb_hi / den)
+        terms.append(ba_hi * (1.0 + cb_hi * (1.0 - bc_lo) / den))
     if ab_lo > cb_hi + COND_TOL:
         den_theta = bc_lo * ab_lo + cb_hi * (1.0 - bc_lo)
         if den_theta > COND_TOL:
@@ -103,10 +106,8 @@ def syllogism_upper(ba_lo: float, ba_hi: float, ab_lo: float, cb_hi: float, bc_l
             if ba_lo <= theta + COND_TOL and theta <= ba_hi + COND_TOL:
                 den5 = cb_hi + bc_lo * (ab_lo - cb_hi)
                 if den5 > COND_TOL:
-                    term = cb_hi / den5
-                    if term < best:
-                        best = term
-    return best
+                    terms.append(cb_hi / den5)
+    return min(terms)
 
 
 def syllogism(inp: SyllogismInput) -> tuple[ProbInterval, ProbInterval]:

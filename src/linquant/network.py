@@ -3,25 +3,36 @@
 Statements constrain P(to|from) for ordered node pairs, either numerically
 or with a qualitative range over the KB's scale.  Saturation applies the
 syllogism pattern to node triples and the cycle form of Bayes' theorem to
-the rotations of simple cycles of up to four nodes until no edge narrows.
-One engine serves both modes, and `_domain` picks the mode's domain in one
-place.  The rules only propose: each reads the edges of its context, never
-its target, and returns a candidate for the target.  The domain's `narrow`
-alone meets the candidate into the edge, and an empty meet raises
-`ContradictionError` in both modes.  `_constrain` alone writes an edge: a
-narrowed value reaches it as a statement (`statement`), met in as a stated
-line is.  Numeric mode runs the closed forms on intervals, and a move of at
-most 1e-9 is no change, so floating point terminates; a stated label range
-narrows with its edge's interval.  Qualitative mode evaluates the same
-closed forms on the hulls of label ranges and approximates once
-(`tables.eval_extended`), and runs the cycle rule in the label algebra; the
-lattice of ranges is finite, so it terminates exactly.  What a label means
-is the scale's business: two label ranges with no common label are no clash
-when `Partition.touch` finds a value they share, so a statement keeps the
-upper range and `narrow` keeps the current one, and `Partition.restrict`
-narrows a stated range to an edge's interval.  A self edge stores nothing:
-P(a|a) = 1, so a statement on one is a clash when it excludes 1, as
-`al-all` does.
+the rotations of simple cycles of three and four nodes until no edge
+narrows.  One engine serves both modes, and `_domain` picks the mode's
+domain in one place.  The rules only propose: each reads the edges of its
+context, never its target, and returns a candidate for the target.  The
+domain's `narrow` alone meets the candidate into the edge, and an empty
+meet raises `ContradictionError` in both modes.  `_constrain` alone writes
+an edge of `kb.edges`: a narrowed value reaches it as a statement
+(`statement`), met in as a stated line is.  Numeric mode runs the closed
+forms on interval ends, and a move of at most 1e-9 is no change, so
+floating point terminates; a stated label range narrows with its edge's
+interval.  Qualitative mode evaluates the same closed forms on the hulls of
+label ranges and approximates once (`tables.eval_extended`), and runs the
+cycle rule in the label algebra; the lattice of ranges is finite, so it
+terminates exactly.  What a label means is the scale's business: two label
+ranges with no common label are no clash when `Partition.touch` finds a
+value they share, so a statement keeps the upper range and `narrow` keeps
+the current one, and `Partition.restrict` narrows a stated range to an
+edge's interval.  A self edge stores nothing: P(a|a) = 1, so a statement on
+one is a clash when it excludes 1, as `al-all` does.
+
+Saturation is index-addressed.  `saturate` numbers the KB's nodes once, in
+sorted order, and the engine works on those numbers: the graph of `_Graph`,
+both queues, every context and every rule.  The domain keeps each edge
+u -> v at index u*n+v of flat lists, self edges preset to 1: numeric mode
+holds the two ends of the interval in two float lists, qualitative mode
+the label range in one list.  So a rule application reads list items and
+allocates no interval.  An edge that narrows goes through `_constrain`,
+which also restricts a stated label range, and is loaded back from
+`kb.edges`, the store of record.  Names come back only where a user reads
+them: in `TraceStep`s, in `ContradictionError` messages and their chains.
 
 The engine is a worklist (AC-3, Mackworth 1977): it applies a rule only to
 contexts that can narrow, and after an edge narrows it queues again only
@@ -37,9 +48,12 @@ the contexts that read that edge.  Two rules say which contexts can narrow:
 
 Both rules are monotone narrowing operators, so the fixpoint does not
 depend on the order in which contexts are applied (Cousot & Cousot 1977),
-up to the 1e-9 stop of numeric mode.  The queues keep the order in which
-`_Graph` lists contexts, which its dicts take from the sorted nodes and
-edges, so a run does not depend on the string hash seed either.
+up to the 1e-9 stop of numeric mode: a bound that converges slowly stops
+where one step moves it by less than 1e-9, so two orders can stop a few
+1e-9 apart (2.2e-9 has been seen).  The queues keep the order in which
+`_Graph` lists contexts, which follows the class numbers, so a run depends
+neither on the string hash seed nor on the order in which statements name
+the classes.
 """
 
 from __future__ import annotations
@@ -231,7 +245,6 @@ def simple_cycles(nodes: list[str], max_len: int) -> list[tuple[str, ...]]:
 # -- saturation ---------------------------------------------------------------
 
 
-_MAX_CYCLE = 4  # nodes in the longest cycle the Bayes rule runs on
 _EPS = 1e-9  # numeric mode: a move of at most this is no change
 _SAME = object()  # what `narrow` returns when the edge keeps its value
 
@@ -263,22 +276,24 @@ class _Store:
         The target is P(A1|Ak).  The getters take a flat list and return,
         left to right, the forward premises P(Ai|Ai+1) for i < k, then
         P(Ak|A1), and the backward ones P(Ai+1|Ai) for i < k, which leave
-        out the target.  Spelled out for k = 3 and 4, the only lengths.
+        out the target.  Spelled out for the cycle rule's two lengths, k = 3
+        and k = 4.
         """
         n = self.n
         if len(seq) == 3:
             a, b, c = seq
-            return c * n + a, itemgetter(b * n + a, c * n + b, a * n + c), itemgetter(a * n + b, b * n + c)
+            forward = itemgetter(b * n + a, c * n + b, a * n + c)
+            return c * n + a, forward, itemgetter(a * n + b, b * n + c)
         a, b, c, d = seq
-        return d * n + a, itemgetter(b * n + a, c * n + b, d * n + c, a * n + d), itemgetter(
-            a * n + b, b * n + c, c * n + d
-        )
+        forward = itemgetter(b * n + a, c * n + b, d * n + c, a * n + d)
+        return d * n + a, forward, itemgetter(a * n + b, b * n + c, c * n + d)
 
 
 class _Intervals(_Store):
-    """Numeric mode: each edge's two ends in flat float lists; a move of at most `_EPS` is no change.
+    """Numeric mode: each edge's two ends in flat float lists.
 
-    A candidate is a (lo, hi) pair, inverted by at most rounding (lo <= hi + 1e-12).
+    A move of at most `_EPS` is no change.  A candidate is a (lo, hi) pair,
+    inverted by at most rounding (lo <= hi + 1e-12).
     """
 
     cycle_phase = "bayes"
@@ -323,12 +338,11 @@ class _Intervals(_Store):
 
     def syllogism(self, context):
         a, b, c = context
-        n, lo = self.n, self.lo
-        ab, bc = a * n + b, b * n + c  # P(b|a) and P(c|b); P(a|b) and P(b|c) are their reverses
-        ba, cb = b * n + a, c * n + b
+        n, lo, hi = self.n, self.lo, self.hi
+        ab, ba, bc, cb = a * n + b, b * n + a, b * n + c, c * n + b  # edge x -> y holds P(y|x)
         return a * n + c, (
             syllogism_lower(lo[ab], lo[ba], lo[bc]),
-            syllogism_upper(lo[ab], self.hi[ab], lo[ba], self.hi[bc], lo[cb]),
+            syllogism_upper(lo[ab], hi[ab], lo[ba], hi[bc], lo[cb]),
         )
 
     def cycle(self, context):
@@ -338,7 +352,10 @@ class _Intervals(_Store):
 
 
 class _Labels(_Store):
-    """Qualitative mode: each edge's label range in a flat list; their lattice is finite, so equality ends it."""
+    """Qualitative mode: each edge's label range in a flat list.
+
+    The lattice of ranges is finite, so equality ends it.
+    """
 
     cycle_phase = "gbt"
 
@@ -378,7 +395,9 @@ class _Labels(_Store):
     def syllogism(self, context):
         a, b, c = context
         n, q = self.n, self.q
-        return a * n + c, eval_extended(self.partition, q[a * n + b], q[b * n + a], q[c * n + b], q[b * n + c])
+        return a * n + c, eval_extended(
+            self.partition, q[a * n + b], q[b * n + a], q[c * n + b], q[b * n + c]
+        )
 
     def cycle(self, context):
         target, forward, backward = self.premises(context)
@@ -410,15 +429,15 @@ def saturate(kb: KnowledgeBase) -> tuple[KnowledgeBase, list[TraceStep]]:
     domain = _domain(out)
     graph = _Graph(domain)
     names = domain.names
-    rules = (("syllogism", domain.syllogism), (domain.cycle_phase, domain.cycle))
-    narrow = domain.narrow
-    queues = (_Queue(graph.triples()), _Queue(graph.rotations()))
-    while queues[0] or queues[1]:
-        i = 0 if queues[0] else 1
-        phase, rule = rules[i]
-        context = queues[i].take()
-        target, candidate = rule(context)
-        new = narrow(target, candidate)
+    syllogisms, rotations = _Queue(graph.triples()), _Queue(graph.rotations())
+    while syllogisms or rotations:
+        if syllogisms:
+            phase, context = "syllogism", syllogisms.take()
+            target, candidate = domain.syllogism(context)
+        else:
+            phase, context = domain.cycle_phase, rotations.take()
+            target, candidate = domain.cycle(context)
+        new = domain.narrow(target, candidate)
         if new is _SAME:
             continue
         shown = tuple(names[x] for x in context)
@@ -438,8 +457,8 @@ def saturate(kb: KnowledgeBase) -> tuple[KnowledgeBase, list[TraceStep]]:
         trace.append(TraceStep(phase, shown, pair, old, domain.show(new)))
         edge = divmod(target, domain.n)
         graph.add(*edge)
-        queues[0].extend(graph.triples(edge))
-        queues[1].extend(graph.rotations(edge))
+        syllogisms.extend(graph.triples(edge))
+        rotations.extend(graph.rotations(edge))
     return out, trace
 
 
@@ -499,18 +518,17 @@ class _Graph:
         else:
             for x, y in (pair, pair[::-1]):
                 step = y in succ[x]
-                if step:
-                    after = [(x, y, w) for w in succ[y] if w != x]
-                    before = [(w, x, y) for w in pred[x] if w != y]
-                    paths += after + before
+                after = [(x, y, w) for w in succ[y] if w != x] if step else []
+                before = [(w, x, y) for w in pred[x] if w != y] if step else []
+                paths += after + before  # 3 classes
                 paths += [(x, w, y) for w in succ[x] if w != y and y in succ[w]]
-                if step:
-                    paths += [path + (z,) for path in after for z in succ[path[2]] if z not in path]
-                    paths += [path + (z,) for path in before for z in succ[y] if z not in path]
-                    paths += [(z,) + path for path in before for z in pred[path[0]] if z not in path]
+                paths += [path + (z,) for path in after for z in succ[path[2]] if z not in path]  # 4
+                paths += [path + (z,) for path in before for z in succ[y] if z not in path]
+                paths += [(z,) + path for path in before for z in pred[path[0]] if z not in path]
                 paths += [
                     (x, w, z, y)
-                    for w in succ[x] if w != y for z in succ[w] if z != x and z != y and y in succ[z]
+                    for w in succ[x] if w != y
+                    for z in succ[w] if z != x and z != y and y in succ[z]
                 ]
         # a path whose reverse is positive too is grown twice, once each way
         return list(dict.fromkeys([seq for path in paths for seq in (path, path[::-1])]))

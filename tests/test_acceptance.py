@@ -413,7 +413,8 @@ def test_c11_gbt_negative_results():
     for cycle in simple_cycles(range(domain.n), 4):
         for seq in cycle_rotations(cycle):
             if domain.narrow(*domain.cycle(seq)) is not network._SAME:
-                failures.append(f"cycle {[domain.names[x] for x in seq]} would still refine after saturation")
+                names = [domain.names[x] for x in seq]
+                failures.append(f"cycle {names} would still refine after saturation")
     verdict(11, "qualitative cycle-rule limits", failures)
 
 
