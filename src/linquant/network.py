@@ -530,8 +530,10 @@ class _Graph:
                     for w in succ[x] if w != y
                     for z in succ[w] if z != x and z != y and y in succ[z]
                 ]
-        # a path whose reverse is positive too is grown twice, once each way
-        return list(dict.fromkeys([seq for path in paths for seq in (path, path[::-1])]))
+        seqs = {}  # each path and its reverse, in order; a path whose reverse is positive too
+        for path in paths:  # is grown twice, once each way, and kept once
+            seqs[path] = seqs[path[::-1]] = None
+        return list(seqs)
 
 
 class _Queue(deque):
