@@ -520,9 +520,11 @@ class _Graph:
                 step = y in succ[x]
                 after = [(x, y, w) for w in succ[y] if w != x] if step else []
                 before = [(w, x, y) for w in pred[x] if w != y] if step else []
-                paths += after + before  # 3 classes
+                # 3 classes: the step with one after or before it, or x to y through one
+                paths += after + before
                 paths += [(x, w, y) for w in succ[x] if w != y and y in succ[w]]
-                paths += [path + (z,) for path in after for z in succ[path[2]] if z not in path]  # 4
+                # 4 classes: two after, one on each side, two before, or x to y through two
+                paths += [path + (z,) for path in after for z in succ[path[2]] if z not in path]
                 paths += [path + (z,) for path in before for z in succ[y] if z not in path]
                 paths += [(z,) + path for path in before for z in pred[path[0]] if z not in path]
                 paths += [
@@ -530,8 +532,10 @@ class _Graph:
                     for w in succ[x] if w != y
                     for z in succ[w] if z != x and z != y and y in succ[z]
                 ]
-        seqs = {}  # each path and its reverse, in order; a path whose reverse is positive too
-        for path in paths:  # is grown twice, once each way, and kept once
+        # each path and its reverse, in order; a path whose reverse is positive
+        # too is grown twice, once each way, and kept once
+        seqs = {}
+        for path in paths:
             seqs[path] = seqs[path[::-1]] = None
         return list(seqs)
 
