@@ -309,6 +309,9 @@ INPUT_ERRORS = {
     "tables-threshold-outside": ("tables", "@labels none few half most all\n@partition -0.5 1.5\n", 2),
     "propagate-unknown-directive": ("propagate", SCALE5 + "@lables x\n", 3),
     "tables-second-partition": ("tables", SCALE5 + "@partition 0.2 0.8\n", 3),
+    "propagate-n-field-count": ("propagate", SCALE5 + "n a b 0.3\n", 3),
+    "propagate-query-field-count": ("propagate", SCALE5 + "? a\n", 3),
+    "propagate-threshold-not-a-number": ("propagate", "@partition 0.2 x\n@labels none few half most all\n", 1),
 }
 
 

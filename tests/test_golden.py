@@ -99,6 +99,15 @@ def test_saturation_matches_golden(name):
     assert _saturated(name) == want
 
 
+def test_every_golden_is_compared():
+    # a renamed run must not leave behind a golden that no test reads
+    runs = {f"{kind}/{run.name}" for kind in ("propagate", "tables", "check", "robustness")
+            for run in (GOLDEN / kind).iterdir()}
+    assert sorted(runs - set(RUNS)) == []
+    saturated = {path.name for path in (GOLDEN / "saturate").iterdir()}
+    assert sorted(saturated - {f"{name}.txt" for name in SATURATED}) == []
+
+
 if __name__ == "__main__":
     for run, argv in RUNS.items():
         with tempfile.TemporaryDirectory() as tmp:

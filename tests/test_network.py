@@ -237,19 +237,22 @@ class TestSaturateNumeric:
         )
 
 
+def _mixed_line(rng: random.Random, p, names: list[str]) -> str:
+    """A label range, or an interval that half the time has its ends on a grid of tenths."""
+    a, b = rng.sample(names, 2)
+    if rng.random() < 0.5:
+        low, high = sorted(rng.randrange(p.n_labels) for _ in range(2))
+        return f"q {a} {b} {p.labels[low]} {p.labels[high]}"
+    grid = rng.random() < 0.5
+    lo, hi = sorted(rng.randint(0, 10) / 10 if grid else rng.random() for _ in range(2))
+    return f"n {a} {b} {lo!r} {hi!r}"
+
+
 def _mixed_kb(rng: random.Random, p) -> str:
     """A KB over 3-6 classes whose lines mix label ranges and intervals, often clashing."""
     names = [f"c{i}" for i in range(rng.randint(3, 6))]
     lines = [f"@partition {' '.join(map(str, p.thresholds))}", f"@labels {' '.join(p.labels)}"]
-    for _ in range(rng.randint(3, 14)):
-        a, b = rng.sample(names, 2)
-        if rng.random() < 0.5:
-            low, high = sorted(rng.randrange(p.n_labels) for _ in range(2))
-            lines.append(f"q {a} {b} {p.labels[low]} {p.labels[high]}")
-        else:
-            grid = rng.random() < 0.5
-            lo, hi = sorted(rng.randint(0, 10) / 10 if grid else rng.random() for _ in range(2))
-            lines.append(f"n {a} {b} {lo!r} {hi!r}")
+    lines += [_mixed_line(rng, p, names) for _ in range(rng.randint(3, 14))]
     return "\n".join(lines) + "\n"
 
 
@@ -279,6 +282,29 @@ def test_stated_range_agrees_with_its_interval(mode):
                 if mode == "qualitative":
                     hull = p.semantics(edge.qual)
                     assert hull.contains_interval(edge.interval, tol=0.0), (pair, edge)
+    assert checked > 1000
+
+
+def test_a_statement_never_widens_a_numeric_interval():
+    # numeric saturation is monotone: one more statement on a KB that stays
+    # consistent keeps every saturated interval inside its old one, up to the
+    # 1e-9 stop of each run.  Qualitative mode is not held to this: a label
+    # range that only touches its edge at a threshold leaves the edge as it was.
+    rng = random.Random(5)
+    checked = 0
+    for _ in range(2000):
+        p = rng.choice((qualalg.scale5(0.3), qualalg.scale7(), qualalg.scale9()))
+        text = _mixed_kb(rng, p)
+        try:
+            before = saturate(parse_kb(text))[0]
+            extra = _mixed_line(rng, p, sorted(before.nodes))
+            after = saturate(parse_kb(text + extra + "\n"))[0]
+        except ContradictionError:
+            continue
+        checked += 1
+        for pair in itertools.permutations(before.nodes, 2):
+            old, new = before.interval(*pair), after.interval(*pair)
+            assert new.lo >= old.lo - 1e-8 and new.hi <= old.hi + 1e-8, (text, extra, pair)
     assert checked > 1000
 
 

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -310,6 +311,61 @@ class TestGalois:
             points = sorted(t + d for t in p.thresholds for d in (0, 5e-10, -5e-10, 2e-9, -2e-9))
             for a, b in itertools.combinations_with_replacement(points, 2):
                 assert_minimal(p, ProbInterval(a, b))
+
+
+def _label_sets(p: Partition) -> list[tuple[float, bool, float, bool]]:
+    """Each label's value set (lo, lo closed, hi, hi closed), as the scale defines it.
+
+    {0}, (0, t1], [t1, t2], ..., [tn, 1), {1}: read off the thresholds alone.
+    """
+    ends = (0.0, *p.thresholds, 1.0)
+    inner = [(lo, lo > 0.0, hi, hi < 1.0) for lo, hi in zip(ends, ends[1:])]
+    return [(0.0, True, 0.0, True), *inner, (1.0, True, 1.0, True)]
+
+
+def _range_set(sets, q: QRange) -> tuple[float, bool, float, bool]:
+    """The value set of a run of labels: the union of its adjacent label sets."""
+    return sets[q.low][:2] + sets[q.high][2:]
+
+
+def _holds(s, x: float) -> bool:
+    lo, lo_closed, hi, hi_closed = s
+    return lo < x < hi or x == lo and lo_closed or x == hi and hi_closed
+
+
+def _share(s, t) -> bool:
+    """Whether two value sets have a common value."""
+    lo, hi = max(s[0], t[0]), min(s[2], t[2])
+    lo_closed = all(closed for end, closed in (s[:2], t[:2]) if end == lo)
+    hi_closed = all(closed for end, closed in (s[2:], t[2:]) if end == hi)
+    return lo < hi or lo == hi and lo_closed and hi_closed
+
+
+def _symmetric_scales():
+    """The 3-, 4-, 5-, 7- and 9-label scales, then a few seeded symmetric ones."""
+    yield Partition((), ("none", "some", "all"))
+    yield Partition((0.5,), ("none", "few", "many", "all"))
+    yield from (scale5(0.3), scale7(), qualalg.scale9())
+    rng = random.Random(3)
+    for _ in range(6):
+        halves = sorted(round(rng.uniform(0.02, 0.48), 3) for _ in range(rng.randint(1, 3)))
+        middle = [0.5] if rng.random() < 0.5 else []
+        thresholds = halves + middle + [1.0 - t for t in reversed(halves)]
+        yield Partition(thresholds, tuple(f"L{i}" for i in range(len(thresholds) + 3)))
+
+
+@pytest.mark.parametrize("p", list(_symmetric_scales()), ids=lambda p: f"{p.n_labels}-{p.thresholds}")
+def test_touch_and_certainty_by_value_sets(p):
+    # `touch` and `covers(q, [1, 1])` against value sets built from the
+    # thresholds alone, never from `Partition`'s own tables
+    sets = _label_sets(p)
+    ranges = list(p.all_ranges())
+    for q in ranges:
+        assert p.covers(q, ProbInterval(1.0, 1.0)) == _holds(_range_set(sets, q), 1.0), q
+    disjoint = [(q, r) for q in ranges for r in ranges if meet(q, r) is None]
+    assert disjoint
+    for q, r in disjoint:
+        assert p.touch(q, r) == _share(_range_set(sets, q), _range_set(sets, r)), (q, r)
 
 
 # hypothesis strategies over symmetric partitions

@@ -5,8 +5,9 @@ import itertools
 import numpy as np
 import pytest
 
-from linquant import qualalg, tables
-from linquant.qualalg import ProbInterval, QRange, SCALE5_LABELS
+from linquant import oracle, qualalg, tables
+from linquant.bounds import SyllogismInput
+from linquant.qualalg import QRange, SCALE5_LABELS
 from linquant.tables import (
     compact,
     eval_extended,
@@ -16,7 +17,6 @@ from linquant.tables import (
     robust_core_check,
     robustness_sweep,
     table_to_csv,
-    tuple_bounds,
 )
 
 
@@ -52,10 +52,18 @@ class TestGenTable:
         got = t5.lookup(*key_of(p5, "all", "most", "all", "half"))
         assert got == p5.full_range()
 
-    def test_every_entry_sound(self, p5, t5):
-        for key, q5 in t5.entries.items():
-            numeric = tuple_bounds(p5, key)
-            assert p5.semantics(q5).contains_interval(numeric)
+    def test_every_entry_contains_the_lp_range(self, p5, t5, p7, t7):
+        # held to the 3-class LP on the four closed hulls, A, B, C = 0, 1, 2,
+        # written apart from `tables`, so that a wrong premise order shows
+        checked = 0
+        for p, table in ((p5, t5), (p7, t7)):
+            for key, q5 in table.entries.items():
+                ba, ab, bc, cb = (p.semantics(QRange(q, q)) for q in key)
+                res = oracle.solve(3, [(0, 1, ba), (1, 0, ab), (2, 1, bc), (1, 2, cb)], (0, 2))
+                if res.ok:
+                    assert p.semantics(q5).contains_interval(res.interval), (p.n_labels, key)
+                    checked += 1
+        assert checked > 2000
 
     def test_deterministic(self, p5, t5):
         again = gen_table(p5)
@@ -253,10 +261,11 @@ class TestRobustEnvelope:
             key = key_of(p5, *names)
             got = t5.entries[key]
             want = p5.range_of(lo_name, hi_name)
-            bounds = tuple_bounds(p5, key)
-            low_ok = got.low == want.low or (got.low == 0 and bounds.lo == 0.0)
+            q1, q2, q3, q4 = (p5.semantics(QRange(q, q)) for q in key)
+            inp = SyllogismInput(b_given_a=q1, a_given_b=q2, c_given_b=q4, b_given_c=q3)
+            low_ok = got.low == want.low or (got.low == 0 and inp.lower() == 0.0)
             high_ok = got.high == want.high or (
-                got.high == p5.top and bounds.hi == 1.0
+                got.high == p5.top and inp.upper() == 1.0
             )
             assert low_ok and high_ok, (names, p5.name_of(got), p5.name_of(want))
 
