@@ -126,11 +126,6 @@ class KnowledgeBase(Value):
     def copy(self) -> "KnowledgeBase":
         return KnowledgeBase(self.partition, self.mode, self.nodes, self.edges, self.queries)
 
-    def informative_edges(self) -> list[tuple[str, str]]:
-        """The sorted pairs whose edge says more than the vacuous range of the KB's mode."""
-        domain = _domain(self)
-        return [pair for pair in sorted(self.edges) if domain.informative(domain.edge(*pair))]
-
 
 # -- statement ingestion ---------------------------------------------------
 
@@ -180,7 +175,7 @@ def _constrain(
         return ContradictionError(f"contradiction on edge {frm} -> {to}: {was} vs {new}")
 
     if frm == to:
-        if not interval.contains(1.0) or qual is not None and p.restrict(qual, _CERTAIN) is None:
+        if not interval.contains(1.0) or qual is not None and not p.covers(qual, _CERTAIN):
             raise ContradictionError(f"self edge {frm} must be certain")
         return
     old = kb.edges.get((frm, to))
@@ -501,12 +496,13 @@ class _Graph:
     def rotations(self, pair: tuple[int, int] | None = None) -> list[tuple[int, ...]]:
         """Rotations of 3 and 4 classes that run along a positive path forward or backward.
 
-        If `pair` is given, only those that read it.  A rotation reads every
-        edge of its cycle, so a path whose cycle has the edge (x, y) either
-        steps from x to y, with the other classes after y, before x, or one
-        on each side, or runs from x to y.  Each path is grown from its
-        start, or from its step, one class at a time along `succ` and `pred`;
-        no class is its own successor.
+        If `pair` is given, only those whose cycle has it.  A rotation reads
+        every edge of its cycle except its target, so these are the ones that
+        read it and the ones whose target it is.  A path whose cycle has the
+        edge (x, y) either steps from x to y, with the other classes after y,
+        before x, or one on each side, or runs from x to y.  Each path is
+        grown from its start, or from its step, one class at a time along
+        `succ` and `pred`; no class is its own successor.
         """
         succ, pred = self.succ, self.pred
         paths = []
@@ -600,23 +596,22 @@ def query(kb: KnowledgeBase, frm: str, to: str) -> tuple[ProbInterval, QRange]:
 
 
 def statements(kb: KnowledgeBase) -> list[str]:
-    """Readable rendering of every informative edge."""
+    """Readable rendering of every informative edge, in name order (the store's index order)."""
     domain = _domain(kb)
     return [
-        f"{frm} -> {to} : {domain.show(domain.value(domain.edge(frm, to)))}"
-        for frm, to in kb.informative_edges()
+        "{} -> {} : {}".format(*domain.pair(e), domain.show(domain.value(e)))
+        for e in domain.stated if domain.informative(e)
     ]
 
 
 def derived_statements(
     kb_before: KnowledgeBase, kb_after: KnowledgeBase
 ) -> dict[tuple[str, str], QRange]:
-    """Edges that were vacuous at ingestion and are informative after."""
+    """Edges that were vacuous at ingestion and are informative after, in name order."""
     full = kb_before.partition.full_range()
-    return {
-        pair: kb_after.qual(*pair)
-        for pair in kb_after.informative_edges() if kb_before.qual(*pair) == full
-    }
+    domain = _domain(kb_after)
+    pairs = [domain.pair(e) for e in domain.stated if domain.informative(e)]
+    return {pair: kb_after.qual(*pair) for pair in pairs if kb_before.qual(*pair) == full}
 
 
 def matrix_csv(kb: KnowledgeBase) -> str:

@@ -273,12 +273,13 @@ class Partition:
     def touch(self, q1: QRange, q2: QRange) -> bool:
         """Whether two ranges with no common label share a value.
 
-        They do exactly when they are adjacent at a threshold between two
-        interior labels: interior labels are closed there, while the first
-        and last interior labels are open at 0 and 1.
+        They do exactly when they are adjacent and both attain their shared
+        end (`flagged_semantics`): interior labels are closed at thresholds,
+        while the first and last interior labels are open at 0 and 1.
         """
         below, above = sorted((q1, q2), key=lambda q: q.low)
-        return below.high + 1 == above.low and 0 < below.high and above.low < self.top
+        attained = self.flagged_semantics(below)[3] and self.flagged_semantics(above)[1]
+        return below.high + 1 == above.low and attained
 
     def restrict(self, q: QRange, i: ProbInterval) -> QRange | None:
         """The labels of q consistent with the interval i, which lies in q's hull.

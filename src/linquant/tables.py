@@ -37,16 +37,6 @@ def _bounds(h1: ProbInterval, h2: ProbInterval, h3: ProbInterval, h4: ProbInterv
     )
 
 
-def _hull_bounds(p: Partition, r1: QRange, r2: QRange, r3: QRange, r4: QRange) -> ProbInterval:
-    """Numeric P(C|A) bounds on the hulls of the ranges Q1..Q4."""
-    return _bounds(*(p.semantics(r) for r in (r1, r2, r3, r4)))
-
-
-def tuple_bounds(p: Partition, key: Key) -> ProbInterval:
-    """Numeric P(C|A) bounds for one elementary 4-tuple."""
-    return _hull_bounds(p, *(QRange(q, q) for q in key))
-
-
 def eval_extended(p: Partition, r1: QRange, r2: QRange, r3: QRange, r4: QRange) -> QRange:
     """Q5 for label ranges: the closed forms on the ranges' hulls, approximated once.
 
@@ -55,7 +45,7 @@ def eval_extended(p: Partition, r1: QRange, r2: QRange, r3: QRange, r4: QRange) 
     not: the crossing term of the upper bound peaks at an interior value
     of P(B|A), which no corner cell sees.
     """
-    return p.approximate(_hull_bounds(p, r1, r2, r3, r4))
+    return p.approximate(_bounds(*(p.semantics(r) for r in (r1, r2, r3, r4))))
 
 
 def gen_table(p: Partition) -> SyllogismTable:
@@ -226,14 +216,6 @@ class CoreRowVerdict(NamedTuple):
         return abs(self.computed - self.analytic) <= 1e-9
 
 
-def _v0(alpha: float) -> ProbInterval:
-    return ProbInterval(0.0, alpha)
-
-
-def _v1(alpha: float) -> ProbInterval:
-    return ProbInterval(alpha, 1.0)
-
-
 def robust_core_check(alpha: float) -> list[CoreRowVerdict]:
     """Check the six unstable extreme-quantifier cases against closed forms.
 
@@ -243,7 +225,7 @@ def robust_core_check(alpha: float) -> list[CoreRowVerdict]:
     """
     if not (0.0 < alpha <= 1.0 / 3.0 + 1e-12):
         raise ValueError("analysis requires 0 < alpha <= 1/3")
-    lo, hi = _v0(alpha), _v1(1.0 - alpha)
+    lo, hi = ProbInterval(0.0, alpha), ProbInterval(1.0 - alpha, 1.0)
     a2 = alpha**2 / (1.0 - alpha) ** 2
     rows = [
         (("few", "most", "most", "few"), "upper", a2),
