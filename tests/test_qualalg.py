@@ -269,6 +269,21 @@ class TestQuotient:
         # most / few is at least 0.7 / 0.3 > 1
         assert p5.qdiv(p5.range_of("most"), p5.range_of("few")) == p5.range_of("all")
 
+    @pytest.mark.parametrize("p", [scale5(0.3), scale7()], ids=["5", "7"])
+    def test_contains_pointwise_quotients(self, p):
+        # x and y from the exact value sets, built from the thresholds alone
+        rng = random.Random(p.n_labels)
+        sets = _label_sets(p)
+        points = {q: _points_of(_range_set(sets, q), rng) for q in p.all_ranges()}
+        for q1, xs in points.items():
+            for q2, ys in points.items():
+                out = p.qdiv(q1, q2)
+                for x in xs:
+                    for y in ys:
+                        if y > 0.0:
+                            r = min(1.0, x / y)
+                            assert p.covers(out, ProbInterval(r, r)), (q1, q2, x, y)
+
 
 class TestGalois:
     def test_roundtrip_on_value_sets(self, p7):
@@ -331,6 +346,15 @@ def _range_set(sets, q: QRange) -> tuple[float, bool, float, bool]:
 def _holds(s, x: float) -> bool:
     lo, lo_closed, hi, hi_closed = s
     return lo < x < hi or x == lo and lo_closed or x == hi and hi_closed
+
+
+def _points_of(s, rng: random.Random, inner: int = 3) -> list[float]:
+    """Points of a value set: its attained ends, points just inside its ends, and random ones."""
+    lo, lo_closed, hi, hi_closed = s
+    ends = [end for end, closed in ((lo, lo_closed), (hi, hi_closed)) if closed]
+    near = [lo + (hi - lo) * 1e-6, hi - (hi - lo) * 1e-6]
+    points = ends + near + [rng.uniform(lo, hi) for _ in range(inner)]
+    return sorted({x for x in points if _holds(s, x)})
 
 
 def _share(s, t) -> bool:
