@@ -1,8 +1,8 @@
 """Optimal interval bounds for chaining conditional probabilities.
 
 Given interval constraints on P(B|A), P(A|B), P(C|B) and P(B|C), the
-syllogism pattern bounds P(C|A) (and, by swapping the roles of A and C,
-P(A|C)).  The lower bound is
+syllogism pattern bounds P(C|A); the same forms on the input reversed,
+with the roles of A and C swapped, bound P(A|C).  The lower bound is
 
     P*(C|A) >= P*(B|A) . max(0, 1 - (1 - P*(C|B)) / P*(A|B))
 
@@ -31,8 +31,9 @@ keeps bounds in flat lists builds no interval to call them:
     syllogism_upper(lo(B|A), hi(B|A), lo(A|B), hi(C|B), lo(B|C))
 
 Six endpoints in all; hi(A|B) and hi(B|C) are never read.
-`SyllogismInput.lower` and `.upper` pick these ends from four intervals,
-and `syllogism(inp)` bounds both P(C|A) and P(A|C) with them.
+`SyllogismInput.lower` and `.upper` pick these ends from four intervals.
+The lower bound never exceeds the upper one by more than rounding (the
+tests check lo <= hi + 1e-12), and `ProbInterval` closes that gap.
 
 The module also provides the cycle form of Bayes' theorem,
 `bayes_cycle(forward_lo, forward_hi, backward_lo, backward_hi)`, which takes
@@ -58,15 +59,6 @@ class SyllogismInput(NamedTuple):
     a_given_b: ProbInterval
     c_given_b: ProbInterval
     b_given_c: ProbInterval
-
-    def swapped(self) -> "SyllogismInput":
-        """Same pattern with the roles of A and C exchanged."""
-        return SyllogismInput(
-            b_given_a=self.b_given_c,
-            a_given_b=self.c_given_b,
-            c_given_b=self.a_given_b,
-            b_given_c=self.b_given_a,
-        )
 
     def lower(self) -> float:
         """`syllogism_lower` on the endpoints it reads."""
@@ -108,16 +100,6 @@ def syllogism_upper(ba_lo: float, ba_hi: float, ab_lo: float, cb_hi: float, bc_l
                 if den5 > COND_TOL:
                     terms.append(cb_hi / den5)
     return min(terms)
-
-
-def syllogism(inp: SyllogismInput) -> tuple[ProbInterval, ProbInterval]:
-    """Bounds on P(C|A) and on P(A|C).
-
-    The lower bound never exceeds the upper one by more than rounding
-    (the tests check lo <= hi + 1e-12), and `ProbInterval` closes that gap.
-    """
-    swapped = inp.swapped()
-    return ProbInterval(inp.lower(), inp.upper()), ProbInterval(swapped.lower(), swapped.upper())
 
 
 def bayes_cycle(

@@ -14,14 +14,15 @@ an edge of `kb.edges`: a narrowed value reaches it as a statement
 forms on interval ends, and a move of at most 1e-9 is no change, so
 floating point terminates; a stated label range narrows with its edge's
 interval.  Qualitative mode evaluates the same closed forms on the hulls of
-label ranges and approximates once (`tables.eval_extended`), and runs the
-cycle rule in the label algebra; the lattice of ranges is finite, so it
-terminates exactly.  What a label means is the scale's business: two label
-ranges with no common label are no clash when `Partition.touch` finds a
-value they share, so a statement keeps the upper range and `narrow` keeps
-the current one, and `Partition.restrict` narrows a stated range to an
-edge's interval.  A self edge stores nothing: P(a|a) = 1, so a statement on
-one is a clash when it excludes 1, as `al-all` does.
+label ranges and approximates once (`tables.eval_extended`), and so does the
+cycle rule, on hulls that flag their attained ends (`gbt_qualitative`); the
+lattice of ranges is finite, so it terminates exactly.  What a label means
+is the scale's business: two label ranges with no common label are no
+clash when `Partition.touch` finds a value they share, so a statement keeps
+the upper range and `narrow` keeps the current one, and `Partition.restrict`
+narrows a stated range to an edge's interval.  A self edge stores nothing:
+P(a|a) = 1, so a statement on one is a clash when it excludes 1, as
+`al-all` does.
 
 Saturation is index-addressed.  `saturate` numbers the KB's nodes once, in
 sorted order, and the engine works on those numbers: the graph of `_Graph`,
@@ -60,6 +61,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
+from functools import reduce
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -568,21 +570,19 @@ def gen_table_cached(p: Partition) -> SyllogismTable:
 
 
 def gbt_qualitative(p: Partition, forward: list[QRange], backward: list[QRange]) -> QRange:
-    """Qualitative cycle rule: products first, one truncated quotient.
+    """Qualitative cycle rule: products first, one truncated quotient, approximated once.
 
     On the premises of `bayes_cycle`, as label ranges, this proposes for
-    P(A1|Ak) the range
-    qdiv(qmul(P(Ak|A1), P(A1|A2), .., P(Ak-1|Ak)), qmul(P(A2|A1), .., P(Ak|Ak-1))),
-    or the full range when the denominator is identically `none`, as
-    `bayes_cycle` does.  It does not read P(A1|Ak) itself.
+    P(A1|Ak) the approximation of the value set
+    quotient(P(Ak|A1) . P(A1|A2) .. P(Ak-1|Ak), P(A2|A1) .. P(Ak|Ak-1)),
+    computed on the premises' flagged hulls (`qualalg.product` and
+    `qualalg.quotient`), or the full range when the denominator is
+    identically 0, as `bayes_cycle` does.  It does not read P(A1|Ak) itself.
     """
-    num = forward[-1]  # reverse edge P(Ak|A1)
-    for q in forward[:-1]:
-        num = p.qmul(num, q)
-    den = backward[0]
-    for q in backward[1:]:
-        den = p.qmul(den, q)
-    return p.full_range() if den.high == 0 else p.qdiv(num, den)
+    flagged = p.flagged_semantics
+    num = reduce(qualalg.product, map(flagged, forward[-1:] + forward[:-1]))  # P(Ak|A1) first
+    den = reduce(qualalg.product, map(flagged, backward))
+    return p.full_range() if den[2] <= TOL else p._approximate(*qualalg.quotient(num, den))
 
 
 # -- querying and export -------------------------------------------------------

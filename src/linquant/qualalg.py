@@ -10,9 +10,11 @@ Arithmetic on qualitative values (product, bounded quotient) is computed
 numerically on the hulls and re-approximated into the coarsest-grained
 covering run.  Endpoint attainability matters here: the hull of (0, t1]
 starts at 0, but 0 itself is not a value of that label, so a product such
-as few * few must come out as few, not [none, few].  The private flagged
-helpers track exactly this.  `Partition` is the one table of these
-meanings: the rest of the package asks it, and does no threshold
+as few * few must come out as few, not [none, few].  `product` and
+`quotient` track exactly this, on flagged hulls (lo, lo attained, hi, hi
+attained); `qmul` and `qdiv` approximate what they return, and a chain of
+them can be approximated once at its end.  `Partition` is the one table
+of these meanings: the rest of the package asks it, and does no threshold
 arithmetic of its own.
 """
 
@@ -219,7 +221,7 @@ class Partition:
         self.validate(q)
         return ProbInterval(self._lo[q.low], self._hi[q.high])
 
-    def flagged_semantics(self, q: QRange) -> tuple[float, bool, float, bool]:
+    def flagged_semantics(self, q: QRange) -> Flagged:
         """(lo, lo_attained, hi, hi_attained) of the exact value set of q.
 
         Only the first and last interior labels leak: their hulls are closed
@@ -313,46 +315,53 @@ class Partition:
 
     def qmul(self, q1: QRange, q2: QRange) -> QRange:
         """Product of qualitative proportions, re-approximated into the scale."""
-        a1, a1_att, b1, b1_att = self.flagged_semantics(q1)
-        a2, a2_att, b2, b2_att = self.flagged_semantics(q2)
-        lo = a1 * a2
-        lo_att = (a1_att and a2_att) or (a1_att and a1 <= TOL) or (a2_att and a2 <= TOL)
-        hi = b1 * b2
-        hi_att = (b1_att and b2_att) or (b1_att and b1 <= TOL) or (b2_att and b2 <= TOL)
-        return self._approximate(lo, lo_att, hi, hi_att)
+        return self._approximate(*product(self.flagged_semantics(q1), self.flagged_semantics(q2)))
 
     def qdiv(self, q1: QRange, q2: QRange) -> QRange:
-        """Quotient truncated to 1.
+        """Quotient truncated to 1, re-approximated into the scale."""
+        return self._approximate(*quotient(self.flagged_semantics(q1), self.flagged_semantics(q2)))
 
-        Division by a value set touching 0 is unbounded above and saturates
-        at 1; 0/0 carries no information at all.
-        """
-        a1, a1_att, b1, b1_att = self.flagged_semantics(q1)
-        a2, a2_att, b2, b2_att = self.flagged_semantics(q2)
-        if b2 <= TOL:  # denominator is identically zero
-            if b1 <= TOL and a1_att:
-                return self.full_range()
-            return QRange(self.top, self.top)
-        if b1 <= TOL:  # numerator identically zero
-            if a2 <= TOL and a2_att:
-                return self.full_range()  # 0/0 reachable
-            return QRange(0, 0)
-        # lower end: smallest numerator over largest denominator
-        lo = a1 / b2
-        lo_att = (a1_att and b2_att) or (a1_att and a1 <= TOL)
-        if lo > 1 + TOL:
-            lo, lo_att = 1.0, True
-        # upper end
-        if a2 <= TOL:
-            hi, hi_att = 1.0, True  # ratios blow up, truncated
-        else:
-            hi = b1 / a2
-            hi_att = b1_att and a2_att
-            if hi > 1 + TOL:
-                hi, hi_att = 1.0, True  # values beyond 1 exist and truncate onto 1
-            elif hi >= 1 - TOL:
-                hi = 1.0
-        return self._approximate(lo, lo_att, min(hi, 1.0), hi_att)
+
+# -- arithmetic on flagged hulls (lo, lo attained, hi, hi attained) ----------
+
+Flagged = tuple[float, bool, float, bool]
+_ANY: Flagged = (0.0, True, 1.0, True)
+
+
+def product(f1: Flagged, f2: Flagged) -> Flagged:
+    """Value set of x * y; an end is attained when both factors attain theirs, or one attains 0."""
+    a1, a1_att, b1, b1_att = f1
+    a2, a2_att, b2, b2_att = f2
+    lo_att = (a1_att and a2_att) or (a1_att and a1 <= TOL) or (a2_att and a2 <= TOL)
+    hi_att = (b1_att and b2_att) or (b1_att and b1 <= TOL) or (b2_att and b2 <= TOL)
+    return a1 * a2, lo_att, b1 * b2, hi_att
+
+
+def quotient(f1: Flagged, f2: Flagged) -> Flagged:
+    """Value set of min(1, x / y).
+
+    Division by a value set touching 0 is unbounded above and saturates
+    at 1; 0/0 carries no information at all.
+    """
+    a1, a1_att, b1, b1_att = f1
+    a2, a2_att, b2, b2_att = f2
+    if b2 <= TOL:  # denominator is identically zero
+        return _ANY if b1 <= TOL and a1_att else (1.0, True, 1.0, True)
+    if b1 <= TOL:  # numerator identically zero
+        return _ANY if a2 <= TOL and a2_att else (0.0, True, 0.0, True)  # 0/0 reachable, or 0
+    # lower end: smallest numerator over largest denominator
+    lo = a1 / b2
+    lo_att = (a1_att and b2_att) or (a1_att and a1 <= TOL)
+    if lo >= 1.0:
+        lo, lo_att = 1.0, True  # every ratio is at least 1 and truncates onto 1
+    # upper end
+    if a2 <= TOL:
+        hi, hi_att = 1.0, True  # ratios blow up, truncated
+    else:
+        hi, hi_att = b1 / a2, b1_att and a2_att
+        if hi > 1 + TOL:
+            hi, hi_att = 1.0, True  # values beyond 1 exist and truncate onto 1
+    return lo, lo_att, min(hi, 1.0), hi_att
 
 
 # -- partition-independent QRange ops ---------------------------------------

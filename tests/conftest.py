@@ -1,7 +1,10 @@
+import random
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from linquant.bounds import SyllogismInput
 from linquant.network import KnowledgeBase, ingest
 from linquant.qualalg import ProbInterval, scale5, scale7, scale9
 
@@ -92,6 +95,39 @@ def p7():
 @pytest.fixture(scope="session")
 def p9():
     return scale9()
+
+
+def value_set(p, q) -> tuple[float, bool, float, bool]:
+    """The exact value set of a label range: (lo, lo closed, hi, hi closed).
+
+    Built from the thresholds alone, never from `Partition`'s own tables:
+    the labels are {0}, (0, t1], [t1, t2], ..., [tn, 1), {1}, and a run of
+    them is the union of its adjacent labels.
+    """
+    ends = (0.0, *p.thresholds, 1.0)
+    inner = [(lo, lo > 0.0, hi, hi < 1.0) for lo, hi in zip(ends, ends[1:])]
+    sets = [(0.0, True, 0.0, True), *inner, (1.0, True, 1.0, True)]
+    return sets[q.low][:2] + sets[q.high][2:]
+
+
+def holds(s, x: float) -> bool:
+    lo, lo_closed, hi, hi_closed = s
+    return lo < x < hi or x == lo and lo_closed or x == hi and hi_closed
+
+
+def points_of(s, rng: random.Random, inner: int = 3) -> list[float]:
+    """Points of a value set: its attained ends, points just inside its ends, and random ones."""
+    lo, lo_closed, hi, hi_closed = s
+    ends = [end for end, closed in ((lo, lo_closed), (hi, hi_closed)) if closed]
+    near = [lo + (hi - lo) * 1e-6, hi - (hi - lo) * 1e-6]
+    points = ends + near + [rng.uniform(lo, hi) for _ in range(inner)]
+    return sorted({x for x in points if holds(s, x)})
+
+
+def syllogism(inp: SyllogismInput) -> tuple[ProbInterval, ProbInterval]:
+    """Bounds on P(C|A), and on P(A|C) from the input reversed, which swaps the roles of A and C."""
+    swapped = SyllogismInput(*inp[::-1])
+    return ProbInterval(inp.lower(), inp.upper()), ProbInterval(swapped.lower(), swapped.upper())
 
 
 def random_subinterval(rng: np.random.Generator) -> ProbInterval:

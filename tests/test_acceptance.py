@@ -19,7 +19,7 @@ import time
 import numpy as np
 
 from linquant import adams, network, qualalg, tables
-from linquant.bounds import SyllogismInput, syllogism
+from linquant.bounds import SyllogismInput
 from linquant.network import parse_kb, saturate, simple_cycles
 from linquant.oracle import (
     adams_oracle_problems,
@@ -38,6 +38,7 @@ from conftest import (
     certified_range,
     cycle_rotations,
     random_subinterval,
+    syllogism,
 )
 
 

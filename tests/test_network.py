@@ -32,7 +32,7 @@ from linquant.qualalg import ProbInterval as I
 
 from conftest import (
     SCALE7, STUDENTS_KB7, STUDENTS_KB9, STUDENTS_NUMERIC, chain_kb, conditionals_of, cycle_rotations,
-    random_numeric_kbs,
+    points_of, random_numeric_kbs, value_set,
 )
 
 
@@ -733,6 +733,66 @@ class TestGBT:
         for cycle in simple_cycles(range(domain.n), 4):
             for seq in cycle_rotations(cycle):
                 assert domain.narrow(*domain.cycle(seq)) is network._SAME
+
+    @pytest.mark.parametrize("scale", ["p5", "p7", "p9"])
+    def test_never_looser_than_the_stepwise_algebra_and_sound_pointwise(self, scale, request):
+        # the rule approximates once; the label algebra approximates after
+        # every product, as the rule did before
+        p = request.getfixturevalue(scale)
+        rng = random.Random(p.n_labels)
+        points = {q: points_of(value_set(p, q), rng) for q in p.all_ranges()}
+        for forward, backward in _cycle_premises(p, rng):
+            got = gbt_qualitative(p, forward, backward)
+            stepwise = _stepwise_gbt(p, forward, backward)
+            assert stepwise.low <= got.low and got.high <= stepwise.high, (forward, backward)
+            for _ in range(8):
+                num = math.prod(rng.choice(points[q]) for q in forward)
+                den = math.prod(rng.choice(points[q]) for q in backward)
+                r = min(1.0, num / den) if den > 0.0 else None
+                # the scale tells no value within TOL of 0 or 1 from that end
+                if r in (0.0, 1.0) or r is not None and qualalg.TOL < r < 1.0 - qualalg.TOL:
+                    assert p.covers(got, I(r, r)), (forward, backward, r)
+
+    def test_students9_ranges_tightened_by_one_approximation(self):
+        # the label algebra stops at [most, al-all] and [half, all]
+        kb = parse_kb(STUDENTS_KB9, mode="qualitative")
+        sat, _ = saturate(kb)
+        p = kb.partition
+        event = {name: class_event(len(kb.nodes), i) for i, name in enumerate(kb.nodes)}
+        cons = [(event[t], event[f], e.interval) for (f, t), e in kb.edges.items()]
+        for pair, want, lp_range in (
+            (("student", "sport"), p.range_of("v-many", "al-all"), (0.81, 1.0)),
+            (("student", "single"), p.range_of("most", "all"), (0.6075, 1.0)),
+        ):
+            assert sat.qual(*pair) == want
+            lp = solve_events(len(kb.nodes), cons, (event[pair[1]], event[pair[0]]))
+            assert (lp.interval.lo, lp.interval.hi) == pytest.approx(lp_range, abs=1e-9)
+            assert p.semantics(want).contains_interval(lp.interval, tol=1e-9)
+
+
+def _stepwise_gbt(p, forward, backward):
+    """The cycle rule in the label algebra: approximated after every product."""
+    num = forward[-1]
+    for q in forward[:-1]:
+        num = p.qmul(num, q)
+    den = backward[0]
+    for q in backward[1:]:
+        den = p.qmul(den, q)
+    return p.full_range() if den.high == 0 else p.qdiv(num, den)
+
+
+def _cycle_premises(p, rng: random.Random):
+    """Cycle premises (forward, backward): on the 5-label scale every elementary
+    3-cycle tuple; on the others 1,500 seeded 3- and 4-class range tuples each."""
+    if p.n_labels == 5:
+        for labels in itertools.product([qualalg.QRange(i, i) for i in range(5)], repeat=5):
+            yield list(labels[:3]), list(labels[3:])
+        return
+    ranges = list(p.all_ranges())
+    for k in (3, 4):
+        for _ in range(1500):
+            labels = [rng.choice(ranges) for _ in range(2 * k - 1)]
+            yield labels[:k], labels[k:]
 
 
 class TestQuery:

@@ -24,6 +24,8 @@ from linquant.qualalg import (
     scale7,
 )
 
+from conftest import holds, points_of, value_set
+
 D = (3 - math.sqrt(5)) / 2  # half*half collapses to few at and above this
 
 
@@ -269,12 +271,16 @@ class TestQuotient:
         # most / few is at least 0.7 / 0.3 > 1
         assert p5.qdiv(p5.range_of("most"), p5.range_of("few")) == p5.range_of("all")
 
+    def test_ratios_of_at_least_one_truncate_onto_one(self, p5):
+        # 1 / y > 1 for every y < 1 of these ranges, and 1 / 0 saturates at 1
+        for den in (("most",), ("half", "most"), ("none", "most")):
+            assert p5.qdiv(p5.range_of("all"), p5.range_of(*den)) == p5.range_of("all")
+
     @pytest.mark.parametrize("p", [scale5(0.3), scale7()], ids=["5", "7"])
     def test_contains_pointwise_quotients(self, p):
         # x and y from the exact value sets, built from the thresholds alone
         rng = random.Random(p.n_labels)
-        sets = _label_sets(p)
-        points = {q: _points_of(_range_set(sets, q), rng) for q in p.all_ranges()}
+        points = {q: points_of(value_set(p, q), rng) for q in p.all_ranges()}
         for q1, xs in points.items():
             for q2, ys in points.items():
                 out = p.qdiv(q1, q2)
@@ -328,35 +334,6 @@ class TestGalois:
                 assert_minimal(p, ProbInterval(a, b))
 
 
-def _label_sets(p: Partition) -> list[tuple[float, bool, float, bool]]:
-    """Each label's value set (lo, lo closed, hi, hi closed), as the scale defines it.
-
-    {0}, (0, t1], [t1, t2], ..., [tn, 1), {1}: read off the thresholds alone.
-    """
-    ends = (0.0, *p.thresholds, 1.0)
-    inner = [(lo, lo > 0.0, hi, hi < 1.0) for lo, hi in zip(ends, ends[1:])]
-    return [(0.0, True, 0.0, True), *inner, (1.0, True, 1.0, True)]
-
-
-def _range_set(sets, q: QRange) -> tuple[float, bool, float, bool]:
-    """The value set of a run of labels: the union of its adjacent label sets."""
-    return sets[q.low][:2] + sets[q.high][2:]
-
-
-def _holds(s, x: float) -> bool:
-    lo, lo_closed, hi, hi_closed = s
-    return lo < x < hi or x == lo and lo_closed or x == hi and hi_closed
-
-
-def _points_of(s, rng: random.Random, inner: int = 3) -> list[float]:
-    """Points of a value set: its attained ends, points just inside its ends, and random ones."""
-    lo, lo_closed, hi, hi_closed = s
-    ends = [end for end, closed in ((lo, lo_closed), (hi, hi_closed)) if closed]
-    near = [lo + (hi - lo) * 1e-6, hi - (hi - lo) * 1e-6]
-    points = ends + near + [rng.uniform(lo, hi) for _ in range(inner)]
-    return sorted({x for x in points if _holds(s, x)})
-
-
 def _share(s, t) -> bool:
     """Whether two value sets have a common value."""
     lo, hi = max(s[0], t[0]), min(s[2], t[2])
@@ -382,14 +359,13 @@ def _symmetric_scales():
 def test_touch_and_certainty_by_value_sets(p):
     # `touch` and `covers(q, [1, 1])` against value sets built from the
     # thresholds alone, never from `Partition`'s own tables
-    sets = _label_sets(p)
     ranges = list(p.all_ranges())
     for q in ranges:
-        assert p.covers(q, ProbInterval(1.0, 1.0)) == _holds(_range_set(sets, q), 1.0), q
+        assert p.covers(q, ProbInterval(1.0, 1.0)) == holds(value_set(p, q), 1.0), q
     disjoint = [(q, r) for q in ranges for r in ranges if meet(q, r) is None]
     assert disjoint
     for q, r in disjoint:
-        assert p.touch(q, r) == _share(_range_set(sets, q), _range_set(sets, r)), (q, r)
+        assert p.touch(q, r) == _share(value_set(p, q), value_set(p, r)), (q, r)
 
 
 # hypothesis strategies over symmetric partitions
