@@ -39,12 +39,13 @@ def _write(path: str | None, text: str) -> None:
 def cmd_tables(args) -> int:
     from . import tables
 
-    table = tables.gen_table(qualalg.parse_partition_config(_read(args.config)))
+    p = qualalg.parse_partition_config(_read(args.config))
+    table = tables.gen_table(p)
     out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)
-    (out / "table.csv").write_text(tables.table_to_csv(table), encoding="utf-8")
-    (out / "table.md").write_text(tables.compact_to_markdown(table), encoding="utf-8")
-    print(f"wrote {len(table.entries)} rows to {out / 'table.csv'}")
+    (out / "table.csv").write_text(tables.table_to_csv(p, table), encoding="utf-8")
+    (out / "table.md").write_text(tables.compact_to_markdown(p, table), encoding="utf-8")
+    print(f"wrote {len(table)} rows to {out / 'table.csv'}")
     return 0
 
 
@@ -99,7 +100,7 @@ def cmd_query(args) -> int:
 def cmd_robustness(args) -> int:
     from . import tables
 
-    report = tables.robustness_sweep(qualalg.SCALE5_LABELS, *args.alpha, args.reference)
+    report = tables.robustness_sweep(*args.alpha, args.reference)
     payload = {
         "reference_alpha": report.reference_alpha,
         "alpha_values": list(report.alpha_values),

@@ -37,7 +37,10 @@ them: in `TraceStep`s, in `ContradictionError` messages and their chains.
 
 The engine is a worklist (AC-3, Mackworth 1977): it applies a rule only to
 contexts that can narrow, and after an edge narrows it queues again only
-the contexts that read that edge.  Two rules say which contexts can narrow:
+the contexts that read that edge; a rotation whose target is that edge
+does not read it.  Until the first rotation is taken every rotation that
+can narrow is still queued, so until then a narrowing lists rotations only
+when it has made its edge positive.  Two rules say which contexts can narrow:
 
 - a syllogism (a, b, c) needs an informative edge between b and a and one
   between b and c, in either direction, because with either pair vacuous
@@ -70,7 +73,7 @@ from .bounds import bayes_cycle, syllogism_lower, syllogism_upper
 from .qualalg import (
     FULL, TOL, ContradictionError, Partition, ProbInterval, QRange, UnknownNode, Value, strip_comment,
 )
-from .tables import SyllogismTable, eval_extended
+from .tables import Key, eval_extended
 
 
 class Edge(NamedTuple):
@@ -416,7 +419,8 @@ def saturate(kb: KnowledgeBase) -> tuple[KnowledgeBase, list[TraceStep]]:
     each rotation, so the syllogism phase runs first and again after every
     rotation that narrows an edge.  When an edge narrows, the contexts that
     read it are queued again, each at most once at a time, in the order
-    `_Graph` lists them; saturation ends when both queues are empty.  A
+    `_Graph` lists them (rotations only once one has been taken or the edge
+    has turned positive); saturation ends when both queues are empty.  A
     narrowed value reaches its edge through `_constrain`, so a stated range
     that it leaves no label of is a clash, as at ingestion, and the store
     loads the edge back from `kb.edges`.
@@ -427,6 +431,7 @@ def saturate(kb: KnowledgeBase) -> tuple[KnowledgeBase, list[TraceStep]]:
     graph = _Graph(domain)
     names = domain.names
     syllogisms, rotations = _Queue(graph.triples()), _Queue(graph.rotations())
+    rotated = False  # until a rotation is taken, every one that can narrow is queued
     while syllogisms or rotations:
         if syllogisms:
             phase, context = "syllogism", syllogisms.take()
@@ -434,6 +439,7 @@ def saturate(kb: KnowledgeBase) -> tuple[KnowledgeBase, list[TraceStep]]:
         else:
             phase, context = domain.cycle_phase, rotations.take()
             target, candidate = domain.cycle(context)
+            rotated = True
         new = domain.narrow(target, candidate)
         if new is _SAME:
             continue
@@ -453,9 +459,10 @@ def saturate(kb: KnowledgeBase) -> tuple[KnowledgeBase, list[TraceStep]]:
         domain.load(target)
         trace.append(TraceStep(phase, shown, pair, old, domain.show(new)))
         edge = divmod(target, domain.n)
-        graph.add(*edge)
+        turned_positive = graph.add(*edge)
         syllogisms.extend(graph.triples(edge))
-        rotations.extend(graph.rotations(edge))
+        if rotated or turned_positive:
+            rotations.extend(graph.rotations(edge))
     return out, trace
 
 
@@ -478,12 +485,15 @@ class _Graph:
         for e in domain.stated:
             self.add(*divmod(e, n))
 
-    def add(self, u: int, v: int) -> None:
+    def add(self, u: int, v: int) -> bool:
+        """Enter the edge u -> v; returns whether it has just turned positive."""
         e = u * self.domain.n + v
         if self.domain.informative(e):
             self.near[u][v] = self.near[v][u] = True
-        if self.domain.positive(e):
-            self.succ[u][v] = self.pred[v][u] = True
+        if v in self.succ[u] or not self.domain.positive(e):
+            return False
+        self.succ[u][v] = self.pred[v][u] = True
+        return True
 
     def triples(self, pair: tuple[int, int] | None = None) -> list[tuple[int, int, int]]:
         """Syllogisms (a, b, c) with a and c near b; if `pair` is given, those that read it."""
@@ -498,13 +508,14 @@ class _Graph:
     def rotations(self, pair: tuple[int, int] | None = None) -> list[tuple[int, ...]]:
         """Rotations of 3 and 4 classes that run along a positive path forward or backward.
 
-        If `pair` is given, only those whose cycle has it.  A rotation reads
-        every edge of its cycle except its target, so these are the ones that
-        read it and the ones whose target it is.  A path whose cycle has the
-        edge (x, y) either steps from x to y, with the other classes after y,
-        before x, or one on each side, or runs from x to y.  Each path is
-        grown from its start, or from its step, one class at a time along
-        `succ` and `pred`; no class is its own successor.
+        If `pair` is given, only those that read it.  A rotation reads both
+        directions of every edge of its cycle except its target, so these
+        are the ones whose cycle has the edge, less those whose target it
+        is.  A path whose cycle has the edge (x, y) either steps from x to
+        y, with the other classes after y, before x, or one on each side, or
+        runs from x to y.  Each path is grown from its start, or from its
+        step, one class at a time along `succ` and `pred`; no class is its
+        own successor.
         """
         succ, pred = self.succ, self.pred
         paths = []
@@ -535,7 +546,7 @@ class _Graph:
         seqs = {}
         for path in paths:
             seqs[path] = seqs[path[::-1]] = None
-        return list(seqs)
+        return [seq for seq in seqs if (seq[-1], seq[0]) != pair]
 
 
 class _Queue(deque):
@@ -558,10 +569,10 @@ class _Queue(deque):
         return context
 
 
-_table_cache: dict[tuple, SyllogismTable] = {}
+_table_cache: dict[tuple, dict[Key, QRange]] = {}
 
 
-def gen_table_cached(p: Partition) -> SyllogismTable:
+def gen_table_cached(p: Partition) -> dict[Key, QRange]:
     """`tables.gen_table` memoised per scale (saturation itself reads no table)."""
     key = (p.thresholds, p.labels)
     if key not in _table_cache:

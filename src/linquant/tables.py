@@ -5,8 +5,9 @@ Q4 = P(C|B).  For label ranges it is computed numerically on the hull
 semantics of the ranges and approximated once, at the very end; chaining
 pre-approximated sub-results instead loses too much precision.  The table
 maps every 4-tuple of elementary labels to its Q5 through the same
-evaluation.  Q6 = P(A|C) needs no table of its own: it is the Q5 entry of
-the role-swapped tuple.
+evaluation; it is a plain dict, and its partition stays with the caller.
+Q6 = P(A|C) needs no table of its own: it is the Q5 entry of the
+role-swapped key, `table[(q3, q4, q1, q2)]`.
 """
 
 from __future__ import annotations
@@ -17,17 +18,9 @@ import itertools
 from typing import NamedTuple
 
 from .bounds import SyllogismInput, syllogism_lower, syllogism_upper
-from .qualalg import Partition, ProbInterval, QRange, ThresholdOutOfRange
+from .qualalg import SCALE5_LABELS, Partition, ProbInterval, QRange, ThresholdOutOfRange
 
 Key = tuple[int, int, int, int]
-
-
-class SyllogismTable(NamedTuple):
-    partition: Partition
-    entries: dict[Key, QRange]
-
-    def lookup(self, q1: int, q2: int, q3: int, q4: int) -> QRange:
-        return self.entries[(q1, q2, q3, q4)]
 
 
 def _bounds(h1: ProbInterval, h2: ProbInterval, h3: ProbInterval, h4: ProbInterval) -> ProbInterval:
@@ -48,18 +41,13 @@ def eval_extended(p: Partition, r1: QRange, r2: QRange, r3: QRange, r4: QRange) 
     return p.approximate(_bounds(*(p.semantics(r) for r in (r1, r2, r3, r4))))
 
 
-def gen_table(p: Partition) -> SyllogismTable:
-    """`eval_extended` of every elementary 4-tuple, each label's hull taken once."""
+def gen_table(p: Partition) -> dict[Key, QRange]:
+    """`eval_extended` of every elementary 4-tuple, in key order, each label's hull taken once."""
     hulls = [p.semantics(QRange(q, q)) for q in range(p.n_labels)]
-    entries: dict[Key, QRange] = {}
-    for key in itertools.product(range(p.n_labels), repeat=4):
-        entries[key] = p.approximate(_bounds(*(hulls[q] for q in key)))
-    return SyllogismTable(p, entries)
-
-
-def q6_of(table: SyllogismTable, q1: int, q2: int, q3: int, q4: int) -> QRange:
-    """P(A|C) for the same tuple: look up the role-swapped key."""
-    return table.lookup(q3, q4, q1, q2)
+    return {
+        key: p.approximate(_bounds(*(hulls[q] for q in key)))
+        for key in itertools.product(range(p.n_labels), repeat=4)
+    }
 
 
 # -- compaction ---------------------------------------------------------------
@@ -90,15 +78,15 @@ def _merge_axis(rows: list[Pattern], axis: int) -> list[Pattern]:
     return merged
 
 
-def compact(table: SyllogismTable) -> list[CompactGroup]:
+def compact(table: dict[Key, QRange]) -> list[CompactGroup]:
     """Group tuples by output, merging contiguous blocks for presentation.
 
     Lossless: expanding every pattern of every group reproduces the full
     entry map exactly.
     """
     by_output: dict[tuple[int, int], list[Pattern]] = {}
-    for key in sorted(table.entries):
-        q5 = table.entries[key]
+    for key in sorted(table):
+        q5 = table[key]
         by_output.setdefault((q5.low, q5.high), []).append(tuple(zip(key, key)))
     groups = []
     for output in sorted(by_output):
@@ -115,20 +103,18 @@ def compact(table: SyllogismTable) -> list[CompactGroup]:
 # -- serialization -------------------------------------------------------------
 
 
-def table_to_csv(table: SyllogismTable) -> str:
+def table_to_csv(p: Partition, table: dict[Key, QRange]) -> str:
     """Full entry map, one row per tuple, lexicographic order."""
-    p = table.partition
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["q1", "q2", "q3", "q4", "q5_low", "q5_high"])
-    for key in sorted(table.entries):
-        q5 = table.entries[key]
+    for key in sorted(table):
+        q5 = table[key]
         writer.writerow([p.labels[i] for i in key] + [p.labels[q5.low], p.labels[q5.high]])
     return buf.getvalue()
 
 
-def compact_to_markdown(table: SyllogismTable) -> str:
-    p = table.partition
+def compact_to_markdown(p: Partition, table: dict[Key, QRange]) -> str:
     lines = [
         "| Q1 | Q2 | Q3 | Q4 | Q5 | tuples |",
         "|---|---|---|---|---|---|",
@@ -167,35 +153,34 @@ _MAX_ALPHAS = 1_000  # tables one robustness sweep may build, about 4 ms each
 
 
 def robustness_sweep(
-    labels: tuple[str, ...],
-    alpha_from: float,
-    alpha_to: float,
-    step: float,
-    reference_alpha: float,
+    alpha_from: float, alpha_to: float, step: float, reference_alpha: float
 ) -> RobustnessReport:
-    """Regenerate the 2-threshold table per alpha and diff against the reference."""
+    """Regenerate the 5-label table per alpha and diff against the reference.
+
+    Each distinct alpha gets one table, the reference's first, so a bad
+    reference fails before any other table is built.
+    """
     if not (0.0 < alpha_from <= alpha_to < 0.5):
         raise ThresholdOutOfRange("alpha range must satisfy 0 < from <= to < 0.5")
     if not step > 0.0:
         raise ThresholdOutOfRange("alpha step must be positive")
     if (alpha_to - alpha_from + 1e-12) / step >= _MAX_ALPHAS:  # the loop below makes one more
         raise ThresholdOutOfRange(f"alpha step too small: more than {_MAX_ALPHAS} alphas")
-    reference = gen_table(Partition((reference_alpha, 1 - reference_alpha), labels))
     alphas = []
     a = alpha_from
     while a <= alpha_to + 1e-12:
         alphas.append(round(a, 12))
         a += step
-    per_alpha: dict[float, tuple[Key, ...]] = {}
-    distinct: set[Key] = set()
-    for alpha in alphas:
-        table = gen_table(Partition((alpha, 1 - alpha), labels))
-        changed = tuple(
-            key for key in sorted(reference.entries)
-            if table.entries[key] != reference.entries[key]
-        )
-        per_alpha[alpha] = changed
-        distinct.update(changed)
+    built = {
+        a: gen_table(Partition((a, 1 - a), SCALE5_LABELS))
+        for a in dict.fromkeys((reference_alpha, *alphas))
+    }
+    reference = built[reference_alpha]
+    per_alpha = {
+        alpha: tuple(key for key in reference if built[alpha][key] != reference[key])
+        for alpha in alphas
+    }
+    distinct = set().union(*per_alpha.values())
     return RobustnessReport(
         reference_alpha, tuple(alphas), per_alpha, tuple(sorted(distinct))
     )

@@ -154,9 +154,9 @@ def test_c04_analytic_extreme_forms():
 def test_c05_robustness_sweep():
     failures = []
     t0 = time.perf_counter()
-    report = tables.robustness_sweep(qualalg.SCALE5_LABELS, 0.25, 0.35, 0.01, 0.30)
+    report = tables.robustness_sweep(0.25, 0.35, 0.01, 0.30)
     elapsed = time.perf_counter() - t0
-    wide = tables.robustness_sweep(qualalg.SCALE5_LABELS, 0.25, 0.38, 0.01, 0.30)
+    wide = tables.robustness_sweep(0.25, 0.38, 0.01, 0.30)
     notes = (
         f"0.25-0.35: {report.distinct_count} distinct, 0.25-0.38: {wide.distinct_count},"
         f" {elapsed:.1f}s"
@@ -464,6 +464,6 @@ def test_c12_invariant_battery():
         failures.append("saturation not deterministic")
     t5a = tables.gen_table(p5)
     t5b = tables.gen_table(p5)
-    if t5a.entries != t5b.entries:
+    if t5a != t5b:
         failures.append("table generation not reproducible")
     verdict(12, "invariant battery", failures)

@@ -179,6 +179,35 @@ class TestSyllogism:
             assert ca.hi == pytest.approx(rng_true.hi, abs=2e-7)
 
 
+def _ends(rng: np.random.Generator, count: int) -> np.ndarray:
+    """`count` sorted end pairs, each end a special value or a uniform draw."""
+    special = np.array([0.0, 5e-324, 1e-12, 1 - 1e-12, 1.0])
+    ends = np.where(
+        rng.random((count, 2)) < 0.5,
+        special[rng.integers(len(special), size=(count, 2))],
+        rng.random((count, 2)),
+    )
+    return np.sort(ends, axis=1)
+
+
+class TestStructuralVacuity:
+    """Premises whose ends alone leave a closed form vacuous, whatever the other ends."""
+
+    def test_lower_is_zero_without_lo_ba_or_lo_cb(self):
+        rng = np.random.default_rng(12)
+        for ba, ab, cb in zip(*(_ends(rng, 5000) for _ in range(3))):
+            ba_lo, ab_lo, cb_lo = float(ba[0]), float(ab[0]), float(cb[0])
+            assert syllogism_lower(0.0, ab_lo, cb_lo) == 0.0, (ab, cb)
+            assert syllogism_lower(ba_lo, ab_lo, 0.0) == 0.0, (ba, ab)
+
+    def test_upper_is_one_without_lo_ab_or_with_hi_cb_one_and_no_lo_bc(self):
+        rng = np.random.default_rng(13)
+        for ba, ab, cb, bc in zip(*(_ends(rng, 5000) for _ in range(4))):
+            ba_lo, ba_hi, ab_lo, cb_hi, bc_lo = map(float, (*ba, ab[0], cb[1], bc[0]))
+            assert syllogism_upper(ba_lo, ba_hi, 0.0, cb_hi, bc_lo) == 1.0, (ba, cb, bc)
+            assert syllogism_upper(ba_lo, ba_hi, ab_lo, 1.0, 0.0) == 1.0, (ba, ab)
+
+
 class TestBayesCycle:
     def test_identity_chain(self):
         lo, hi = bayes_cycle([1.0] * 3, [1.0] * 3, [1.0] * 2, [1.0] * 2)

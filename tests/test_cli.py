@@ -225,6 +225,19 @@ def test_robustness_too_many_alphas(capsys, step):
     assert capsys.readouterr().err == "error: alpha step too small: more than 1000 alphas\n"
 
 
+@pytest.mark.parametrize("reference, message", [
+    ("0.7", "thresholds not increasing at 0.7, 0.30000000000000004"),
+    ("0.5", "thresholds not increasing at 0.5, 0.5"),
+    ("0", "threshold 0.0 outside open (0, 1)"),
+    ("-0.1", "threshold -0.1 outside open (0, 1)"),
+    ("nan", "threshold nan outside open (0, 1)"),
+])
+def test_robustness_reference_outside_the_open_half(capsys, reference, message):
+    # the reference scale is built first, so it fails before any swept table
+    assert main(["robustness", f"--reference={reference}"]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("alpha", ["0.25:0.35", "0.25:x:0.01", ""])
 def test_robustness_malformed_alpha_is_a_usage_error(capsys, alpha):
     with pytest.raises(SystemExit) as exc:

@@ -540,6 +540,12 @@ def distinct(contexts: list[tuple[str, ...]]) -> set[tuple[str, ...]]:
     return set(contexts)
 
 
+def read_by(seq: tuple[int, ...]) -> set[tuple[int, int]]:
+    """The edges the cycle rule reads on `seq`: those of its cycle, both ways, less its target."""
+    steps = set(zip(seq, seq[1:] + seq[:1]))
+    return (steps | {step[::-1] for step in steps}) - {(seq[-1], seq[0])}
+
+
 class TestWorklist:
     def test_saturation_is_a_fixpoint_of_every_context(self):
         # the worklist skips contexts that cannot narrow; a full pass over
@@ -579,8 +585,40 @@ class TestWorklist:
                         t for t in triples if edge & {t[:2], t[1::-1], t[1:], t[:0:-1]}
                     }
                 assert distinct(graph.rotations(pair)) == {
-                    seq for seq in rotations if edge & set(zip(seq, seq[1:] + seq[:1]))
+                    seq for seq in rotations if pair in read_by(seq)
                 }
+
+    def test_rotations_listed_again_only_when_they_can_be_new(self, monkeypatch):
+        # until the first rotation is taken, every rotation that can narrow is
+        # still queued, so a narrowing lists rotations again only when it has
+        # just made its edge positive
+        state = {"taken": False, "turned": None, "listed": 0}
+        add, rotations = network._Graph.add, network._Graph.rotations
+        cycle = network._Intervals.cycle
+
+        def traced_add(graph, u, v):
+            before = v in graph.succ[u]
+            result = add(graph, u, v)
+            state["turned"] = (u, v) if v in graph.succ[u] and not before else None
+            return result
+
+        def traced_rotations(graph, pair=None):
+            if pair is not None and not state["taken"]:
+                assert pair == state["turned"], pair
+                state["listed"] += 1
+            return rotations(graph, pair)
+
+        def traced_cycle(domain, context):
+            state["taken"] = True
+            return cycle(domain, context)
+
+        monkeypatch.setattr(network._Graph, "add", traced_add)
+        monkeypatch.setattr(network._Graph, "rotations", traced_rotations)
+        monkeypatch.setattr(network._Intervals, "cycle", traced_cycle)
+        for kb in (parse_kb(chain_kb(12)), *random_numeric_kbs(5)):
+            state.update(taken=False, turned=None)
+            saturate(kb)
+        assert state["listed"] > 0
 
     def test_independent_of_the_queue_order(self, monkeypatch):
         # the fixpoint does not depend on the order of application; in numeric

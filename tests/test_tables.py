@@ -7,13 +7,12 @@ import pytest
 
 from linquant import oracle, qualalg, tables
 from linquant.bounds import SyllogismInput
-from linquant.qualalg import QRange, SCALE5_LABELS
+from linquant.qualalg import QRange
 from linquant.tables import (
     compact,
     eval_extended,
     five_inequalities,
     gen_table,
-    q6_of,
     robust_core_check,
     robustness_sweep,
     table_to_csv,
@@ -41,15 +40,15 @@ def key_of(p, *names):
 
 class TestGenTable:
     def test_worked_entry(self, p7, t7):
-        got = t7.lookup(*key_of(p7, "most", "al-all", "half", "al-all"))
+        got = t7[key_of(p7, "most", "al-all", "half", "al-all")]
         assert got == p7.range_of("half", "all")
 
     def test_certain_chain(self, p7, t7):
-        got = t7.lookup(*key_of(p7, "all", "all", "all", "all"))
+        got = t7[key_of(p7, "all", "all", "all", "all")]
         assert got == p7.range_of("all")
 
     def test_uninformative_row(self, p5, t5):
-        got = t5.lookup(*key_of(p5, "all", "most", "all", "half"))
+        got = t5[key_of(p5, "all", "most", "all", "half")]
         assert got == p5.full_range()
 
     def test_every_entry_contains_the_lp_range(self, p5, t5, p7, t7):
@@ -57,7 +56,7 @@ class TestGenTable:
         # written apart from `tables`, so that a wrong premise order shows
         checked = 0
         for p, table in ((p5, t5), (p7, t7)):
-            for key, q5 in table.entries.items():
+            for key, q5 in table.items():
                 ba, ab, bc, cb = (p.semantics(QRange(q, q)) for q in key)
                 res = oracle.solve(3, [(0, 1, ba), (1, 0, ab), (2, 1, bc), (1, 2, cb)], (0, 2))
                 if res.ok:
@@ -67,20 +66,19 @@ class TestGenTable:
 
     def test_deterministic(self, p5, t5):
         again = gen_table(p5)
-        assert again.entries == t5.entries
+        assert again == t5
 
 
 class TestQ6:
+    """Q6 = P(A|C) is the Q5 entry of the role-swapped key."""
+
     def test_worked_entry(self, p7, t7):
-        got = q6_of(t7, *key_of(p7, "most", "al-all", "half", "al-all"))
-        assert got == p7.range_of("few", "all")
+        q1, q2, q3, q4 = key_of(p7, "most", "al-all", "half", "al-all")
+        assert t7[(q3, q4, q1, q2)] == p7.range_of("few", "all")
 
     def test_certain_chain(self, p7, t7):
-        assert q6_of(t7, *key_of(p7, "all", "all", "all", "all")) == p7.range_of("all")
-
-    def test_swap_identity_everywhere(self, t5):
-        for (q1, q2, q3, q4) in t5.entries:
-            assert q6_of(t5, q1, q2, q3, q4) == t5.lookup(q3, q4, q1, q2)
+        q1, q2, q3, q4 = key_of(p7, "all", "all", "all", "all")
+        assert t7[(q3, q4, q1, q2)] == p7.range_of("all")
 
 
 class TestEvalExtended:
@@ -95,14 +93,14 @@ class TestEvalExtended:
         assert got == p7.range_of("half", "all")
 
     def test_elementary_matches_table(self, p5, t5):
-        for key in t5.entries:
+        for key in t5:
             ranges = [QRange(i, i) for i in key]
-            assert eval_extended(p5, *ranges) == t5.entries[key]
+            assert eval_extended(p5, *ranges) == t5[key]
 
     def test_monotone_under_widening(self, p5, t5):
         # every elementary tuple, every one-step widening of each argument
-        for key in t5.entries:
-            base = t5.entries[key]
+        for key in t5:
+            base = t5[key]
             for pos in range(4):
                 for delta in ((-1, 0), (0, 1)):
                     lo = key[pos] + delta[0]
@@ -131,7 +129,7 @@ class TestEvalExtended:
 def hull_of_cells(table, ranges):
     """The hull of every table cell whose labels lie in the four ranges."""
     cells = [
-        table.lookup(*key)
+        table[key]
         for key in itertools.product(*(range(r.low, r.high + 1) for r in ranges))
     ]
     return QRange(min(c.low for c in cells), max(c.high for c in cells))
@@ -147,7 +145,7 @@ class TestEvalExtendedIsCellHull:
         m = p5.n_labels
         low = np.empty((m,) * 4, dtype=int)
         high = np.empty((m,) * 4, dtype=int)
-        for key, q5 in t5.entries.items():
+        for key, q5 in t5.items():
             low[key], high[key] = q5.low, q5.high
         for axis in range(4):
             low = np.stack(
@@ -198,7 +196,7 @@ class TestCompact:
     def test_lossless_and_total(self, name, request):
         table = request.getfixturevalue(name)
         groups = compact(table)
-        assert sum(g.size for g in groups) == len(table.entries)
+        assert sum(g.size for g in groups) == len(table)
         rebuilt = {}
         for g in groups:
             for pat in g.patterns:
@@ -209,7 +207,7 @@ class TestCompact:
                                 key = (k1, k2, k3, k4)
                                 assert key not in rebuilt
                                 rebuilt[key] = g.output
-        assert rebuilt == table.entries
+        assert rebuilt == table
 
     def test_group_count_bounded(self, t5):
         assert len(compact(t5)) <= 625
@@ -217,17 +215,26 @@ class TestCompact:
 
 class TestRobustness:
     def test_reference_only_no_changes(self):
-        rep = robustness_sweep(SCALE5_LABELS, 0.30, 0.30, 0.01, 0.30)
+        rep = robustness_sweep(0.30, 0.30, 0.01, 0.30)
         assert rep.distinct_count == 0
 
     def test_sweep_below_and_above(self):
-        rep = robustness_sweep(SCALE5_LABELS, 0.25, 0.35, 0.01, 0.30)
+        rep = robustness_sweep(0.25, 0.35, 0.01, 0.30)
         # the nine extreme-tuple flips fire only past 1/3
         for alpha in rep.alpha_values:
             if 0.30 <= alpha <= 1 / 3:
                 assert len(rep.changed_per_alpha[alpha]) == 0
         flips = rep.changed_per_alpha[0.34]
         assert len(flips) == 9
+
+    def test_builds_each_alpha_once(self, monkeypatch):
+        # the default sweep's eleven alphas include the reference 0.30
+        built = []
+        gen = tables.gen_table
+        monkeypatch.setattr(tables, "gen_table", lambda p: built.append(p.thresholds) or gen(p))
+        robustness_sweep(0.25, 0.35, 0.01, 0.30)
+        assert len(built) == len(set(built)) == 11
+        assert built[0] == (0.30, 0.70)
 
     def test_product_flip_across_d(self):
         p35, p39 = qualalg.scale5(0.35), qualalg.scale5(0.39)
@@ -238,7 +245,7 @@ class TestRobustness:
 
     def test_bad_range(self):
         with pytest.raises(ValueError):
-            robustness_sweep(SCALE5_LABELS, 0.0, 0.4, 0.01, 0.3)
+            robustness_sweep(0.0, 0.4, 0.01, 0.3)
 
 
 class TestRobustEnvelope:
@@ -259,7 +266,7 @@ class TestRobustEnvelope:
     def test_rows_match_up_to_extreme_inclusion(self, p5, t5):
         for names, (lo_name, hi_name) in self.ROWS:
             key = key_of(p5, *names)
-            got = t5.entries[key]
+            got = t5[key]
             want = p5.range_of(lo_name, hi_name)
             q1, q2, q3, q4 = (p5.semantics(QRange(q, q)) for q in key)
             inp = SyllogismInput(b_given_a=q1, a_given_b=q2, c_given_b=q4, b_given_c=q3)
@@ -293,10 +300,10 @@ class TestCoreRows:
 
 class TestSerialization:
     def test_csv_shape(self, p5, t5):
-        lines = table_to_csv(t5).strip().splitlines()
+        lines = table_to_csv(p5, t5).strip().splitlines()
         assert len(lines) == 1 + 625
         assert lines[0] == "q1,q2,q3,q4,q5_low,q5_high"
 
-    def test_markdown_renders(self, t5):
-        md = tables.compact_to_markdown(t5)
+    def test_markdown_renders(self, p5, t5):
+        md = tables.compact_to_markdown(p5, t5)
         assert md.startswith("|")
