@@ -176,6 +176,31 @@ def random_numeric_kbs(count: int):
         yield kb
 
 
+def random_qualitative_kbs(count: int):
+    """Seeded 5- and 6-class qualitative KBs on the 5-, 7- and 9-label scales in turn.
+
+    Each states 3k conditionals of one random distribution: the first as a
+    numeric interval 0.05 either side, the others as the approximation of
+    the exact value, so every KB is consistent.
+    """
+    rng = np.random.default_rng(37)
+    scales = (scale5(0.3), scale7(), scale9())
+    for trial in range(count):
+        k, p = 5 + trial % 2, scales[trial % 3]
+        pcond = conditionals_of(rng.dirichlet(np.full(2**k, 0.3)), k)
+        kb = KnowledgeBase(p, "qualitative")
+        pairs = [(f, t) for f in range(k) for t in range(k) if f != t]
+        for j, i in enumerate(rng.permutation(len(pairs))[: 3 * k]):
+            f, t = pairs[i]
+            v = float(pcond(t, f))
+            if j == 0:
+                ingest(kb, f"n c{f} c{t} {max(0.0, v - 0.05)!r} {min(1.0, v + 0.05)!r}")
+                continue
+            q = p.approximate(ProbInterval(v, v))
+            ingest(kb, f"q c{f} c{t} {p.labels[q.low]} {p.labels[q.high]}")
+        yield kb
+
+
 def class_masks(class_count: int) -> list[np.ndarray]:
     """Membership of each atom in each class: atom a lies in class i iff bit i is set."""
     atoms = np.arange(2**class_count)

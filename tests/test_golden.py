@@ -7,7 +7,9 @@ a sample scale; `tests/golden/check/<run>/` and
 `tests/golden/robustness/<run>/` hold the one JSON report, `report.json`,
 that each of those writes.  `tests/golden/saturate/<kb>.txt` holds numeric
 saturation at full precision: the trace length, then `float.hex` of both
-bounds of every ordered pair of classes.  A change meant to keep every output
+bounds of every ordered pair of classes.  `tests/golden/saturate/<kb>-qualitative.txt`
+holds qualitative saturation: the trace length, every trace step, then the
+label range of every ordered pair.  A change meant to keep every output
 keeps these files as they are; a change to the order of arithmetic that
 alters a bound there explains its diff.  A change meant to alter an output
 regenerates them, from the repository root, with
@@ -30,7 +32,7 @@ import pytest
 from linquant.cli import main
 from linquant.network import parse_kb, saturate
 
-from conftest import chain_kb, random_numeric_kbs
+from conftest import chain_kb, random_numeric_kbs, random_qualitative_kbs
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
@@ -46,6 +48,7 @@ RUNS["robustness/default"] = ["robustness"]
 RUNS["robustness/alpha-0.36-0.40"] = ["robustness", "--alpha", "0.36:0.40:0.01"]
 REPORT = "report.json"  # `check` and `robustness` take `--out` as this file
 SATURATED = [*(f"students{kb}" for kb in ("7", "9", "_numeric")), "chain64", *(f"random{i}" for i in range(10))]
+SATURATED_QUALITATIVE = ["students7", "students9", *(f"labelled{i}" for i in range(10))]
 
 
 @functools.cache
@@ -67,6 +70,28 @@ def _saturated(name: str) -> str:
     for frm, to in itertools.permutations(sorted(sat.nodes), 2):
         ival = sat.interval(frm, to)
         lines.append(f"{frm} {to} {ival.lo.hex()} {ival.hi.hex()}")
+    return "\n".join(lines) + "\n"
+
+
+@functools.cache
+def _qualitative_cases() -> dict:
+    """The qualitative KBs of `SATURATED_QUALITATIVE`, by name."""
+    cases = {
+        name: parse_kb((SAMPLES / f"{name}.kb").read_text(encoding="utf-8"), "qualitative")
+        for name in SATURATED_QUALITATIVE[:2]
+    }
+    cases.update((f"labelled{i}", kb) for i, kb in enumerate(random_qualitative_kbs(10)))
+    return cases
+
+
+def _saturated_qualitative(name: str) -> str:
+    """The trace length, each trace step and the label range of every pair after qualitative saturation."""
+    sat, trace = saturate(_qualitative_cases()[name])
+    lines = [f"trace {len(trace)}"]
+    lines += [f"{s.phase} ({', '.join(s.context)}) {s.edge[0]} -> {s.edge[1]}: {s.before} to {s.after}"
+              for s in trace]
+    for frm, to in itertools.permutations(sorted(sat.nodes), 2):
+        lines.append(f"{frm} {to} {sat.partition.name_of(sat.qual(frm, to))}")
     return "\n".join(lines) + "\n"
 
 
@@ -99,13 +124,20 @@ def test_saturation_matches_golden(name):
     assert _saturated(name) == want
 
 
+@pytest.mark.parametrize("name", SATURATED_QUALITATIVE)
+def test_qualitative_saturation_matches_golden(name):
+    want = (GOLDEN / "saturate" / f"{name}-qualitative.txt").read_text(encoding="utf-8")
+    assert _saturated_qualitative(name) == want
+
+
 def test_every_golden_is_compared():
     # a renamed run must not leave behind a golden that no test reads
     runs = {f"{kind}/{run.name}" for kind in ("propagate", "tables", "check", "robustness")
             for run in (GOLDEN / kind).iterdir()}
     assert sorted(runs - set(RUNS)) == []
     saturated = {path.name for path in (GOLDEN / "saturate").iterdir()}
-    assert sorted(saturated - {f"{name}.txt" for name in SATURATED}) == []
+    compared = {f"{name}.txt" for name in SATURATED} | {f"{name}-qualitative.txt" for name in SATURATED_QUALITATIVE}
+    assert sorted(saturated - compared) == []
 
 
 if __name__ == "__main__":
@@ -119,3 +151,6 @@ if __name__ == "__main__":
     (GOLDEN / "saturate").mkdir(exist_ok=True)
     for name in SATURATED:
         (GOLDEN / "saturate" / f"{name}.txt").write_text(_saturated(name), encoding="utf-8")
+    for name in SATURATED_QUALITATIVE:
+        text = _saturated_qualitative(name)
+        (GOLDEN / "saturate" / f"{name}-qualitative.txt").write_text(text, encoding="utf-8")
