@@ -13,9 +13,9 @@ an edge of `kb.edges`: a narrowed value reaches it as a statement
 (`statement`), met in as a stated line is.  Numeric mode runs the closed
 forms on interval ends, and a move of at most 1e-9 is no change, so
 floating point terminates; a stated label range narrows with its edge's
-interval.  Qualitative mode evaluates the same closed forms on the hulls of
-label ranges and approximates once (`tables.eval_extended`), and so does the
-cycle rule, on hulls that flag their attained ends (`gbt_qualitative`); the
+interval.  Qualitative mode runs the same syllogism on the hulls of label
+ranges, and its cycle rule takes products and one quotient of the flagged
+hulls (`gbt_qualitative`); `narrow` approximates each candidate once.  The
 lattice of ranges is finite, so it terminates exactly.  What a label means
 is the scale's business: two label ranges with no common label are no
 clash when `Partition.touch` finds a value they share, so a statement keeps
@@ -26,13 +26,15 @@ P(a|a) = 1, so a statement on one is a clash when it excludes 1, as
 
 Saturation is index-addressed.  `saturate` numbers the KB's nodes once, in
 sorted order, and the engine works on those numbers: the graph of `_Graph`,
-both queues, every context and every rule.  The domain keeps each edge
-u -> v at index u*n+v of flat lists, self edges preset to 1: numeric mode
-holds the two ends of the interval in two float lists, qualitative mode
-the label range in one list.  So a rule application reads list items and
-allocates no interval.  An edge that narrows goes through `_constrain`,
-which also restricts a stated label range, and is loaded back from
-`kb.edges`, the store of record.  Names come back only where a user reads
+both queues, every context and every rule.  In both modes the store keeps
+each edge u -> v as a flagged hull (lo, lo attained, hi, hi attained) at
+index u*n+v of four flat lists, self edges preset to 1: a numeric edge
+attains both ends of its interval, and a label range carries the flags of
+`Partition.flagged_semantics`, which its approximation inverts exactly.  So
+a rule application reads list items, allocates no interval and, in
+qualitative mode, restates no label's meaning.  An edge that narrows goes
+through `_constrain`, which also restricts a stated label range, and is
+loaded back from `kb.edges`, the store of record.  Names come back only where a user reads
 them: in `TraceStep`s, in `ContradictionError` messages and their chains.
 
 The engine is a worklist (AC-3, Mackworth 1977): it applies a rule only to
@@ -71,9 +73,10 @@ from typing import NamedTuple
 from . import qualalg, tables
 from .bounds import bayes_cycle, syllogism_lower, syllogism_upper
 from .qualalg import (
-    FULL, TOL, ContradictionError, Partition, ProbInterval, QRange, UnknownNode, Value, strip_comment,
+    _ANY, FULL, TOL, ContradictionError, Flagged, Partition, ProbInterval, QRange, UnknownNode, Value,
+    strip_comment,
 )
-from .tables import Key, eval_extended
+from .tables import Key, eval_extended  # noqa: F401  perfbench/tracer.py wraps it here
 
 
 class Edge(NamedTuple):
@@ -252,16 +255,24 @@ _SAME = object()  # what `narrow` returns when the edge keeps its value
 class _Store:
     """The KB's classes numbered in sorted order, and its edges addressed u*n+v.
 
-    An edge is read from flat lists at its index; `load` copies it in from
-    `kb.edges`, the store of record, and `pair` names it again.
+    Each edge is a flagged hull, (lo, lo attained, hi, hi attained), in four
+    flat lists at its index, in both modes; self edges hold P(a|a) = 1.
+    `load` copies an edge in from `kb.edges`, the store of record, through
+    the mode's `flagged`, and `pair` names it again.  The syllogism reads the
+    hull's ends alone.
     """
 
     def __init__(self, kb: KnowledgeBase):
         self.kb = kb
         self.names = sorted(kb.nodes)
-        self.n = len(self.names)
+        n = self.n = len(self.names)
         self.index = {name: i for i, name in enumerate(self.names)}
         self.stated = sorted(self.edge(*pair) for pair in kb.edges)  # the edges in kb.edges
+        self.lo, self.hi = [0.0] * (n * n), [1.0] * (n * n)
+        self.lo_att, self.hi_att = [True] * (n * n), [True] * (n * n)
+        self.lo[:: n + 1] = [1.0] * n  # P(a|a) = 1
+        for e in self.stated:
+            self.load(e)
 
     def edge(self, frm: str, to: str) -> int:
         return self.index[frm] * self.n + self.index[to]
@@ -269,6 +280,15 @@ class _Store:
     def pair(self, e: int) -> tuple[str, str]:
         u, v = divmod(e, self.n)
         return self.names[u], self.names[v]
+
+    def load(self, e: int) -> None:
+        self.lo[e], self.lo_att[e], self.hi[e], self.hi_att[e] = self.flagged(self.pair(e))
+
+    def informative(self, e: int) -> bool:
+        return self.lo[e] != 0.0 or self.hi[e] != 1.0 or not (self.lo_att[e] and self.hi_att[e])
+
+    def positive(self, e: int) -> bool:
+        return self.lo[e] > 0.0 or not self.lo_att[e]
 
     def premises(self, seq: tuple[int, ...]) -> tuple[int, itemgetter, itemgetter]:
         """The cycle rule's target edge on the rotation A1..Ak, and getters of its premises.
@@ -288,9 +308,18 @@ class _Store:
         forward = itemgetter(b * n + a, c * n + b, d * n + c, a * n + d)
         return d * n + a, forward, itemgetter(a * n + b, b * n + c, c * n + d)
 
+    def syllogism(self, context):
+        a, b, c = context
+        n, lo, hi = self.n, self.lo, self.hi
+        ab, ba, bc, cb = a * n + b, b * n + a, b * n + c, c * n + b  # edge x -> y holds P(y|x)
+        return a * n + c, (
+            syllogism_lower(lo[ab], lo[ba], lo[bc]),
+            syllogism_upper(lo[ab], hi[ab], lo[ba], hi[bc], lo[cb]),
+        )
+
 
 class _Intervals(_Store):
-    """Numeric mode: each edge's two ends in flat float lists.
+    """Numeric mode: an edge attains both ends of its interval.
 
     A move of at most `_EPS` is no change.  A candidate is a (lo, hi) pair,
     inverted by at most rounding (lo <= hi + 1e-12).
@@ -300,26 +329,12 @@ class _Intervals(_Store):
     show = str
     show_candidate = "[{0[0]:.6f}, {0[1]:.6f}]".format
 
-    def __init__(self, kb: KnowledgeBase):
-        super().__init__(kb)
-        n = self.n
-        self.lo, self.hi = [0.0] * (n * n), [1.0] * (n * n)
-        self.lo[:: n + 1] = [1.0] * n  # P(a|a) = 1
-        for e in self.stated:
-            self.load(e)
-
-    def load(self, e: int) -> None:
-        ival = self.kb.interval(*self.pair(e))
-        self.lo[e], self.hi[e] = ival.lo, ival.hi
+    def flagged(self, pair: tuple[str, str]) -> Flagged:
+        ival = self.kb.interval(*pair)
+        return ival.lo, True, ival.hi, True
 
     def value(self, e: int) -> ProbInterval:
         return ProbInterval(self.lo[e], self.hi[e])
-
-    def informative(self, e: int) -> bool:
-        return self.lo[e] != 0.0 or self.hi[e] != 1.0
-
-    def positive(self, e: int) -> bool:
-        return self.lo[e] > 0.0
 
     def narrow(self, e: int, candidate):
         old_lo, old_hi = self.lo[e], self.hi[e]
@@ -336,15 +351,6 @@ class _Intervals(_Store):
     def statement(new: ProbInterval) -> tuple[ProbInterval, None]:
         return new, None
 
-    def syllogism(self, context):
-        a, b, c = context
-        n, lo, hi = self.n, self.lo, self.hi
-        ab, ba, bc, cb = a * n + b, b * n + a, b * n + c, c * n + b  # edge x -> y holds P(y|x)
-        return a * n + c, (
-            syllogism_lower(lo[ab], lo[ba], lo[bc]),
-            syllogism_upper(lo[ab], hi[ab], lo[ba], hi[bc], lo[cb]),
-        )
-
     def cycle(self, context):
         target, forward, backward = self.premises(context)
         lo, hi = self.lo, self.hi
@@ -352,56 +358,50 @@ class _Intervals(_Store):
 
 
 class _Labels(_Store):
-    """Qualitative mode: each edge's label range in a flat list.
+    """Qualitative mode: an edge holds the flagged hull of its label range.
 
-    The lattice of ranges is finite, so equality ends it.
+    A candidate is a flagged hull, which `narrow` approximates once; an
+    edge's label range is the approximation of its hull, which
+    `flagged_semantics` makes exactly.  The lattice of ranges is finite, so
+    equality ends it.
     """
 
     cycle_phase = "gbt"
 
     def __init__(self, kb: KnowledgeBase):
-        super().__init__(kb)
         p = self.partition = kb.partition
-        self.show = self.show_candidate = p.name_of
-        self.full = p.full_range()
-        n = self.n
-        self.q = [self.full] * (n * n)
-        self.q[:: n + 1] = [QRange(p.top, p.top)] * n  # P(a|a) = 1
-        for e in self.stated:
-            self.load(e)
+        self.show = p.name_of
+        self.approximate = p._approximate
+        super().__init__(kb)
 
-    def load(self, e: int) -> None:
-        self.q[e] = self.kb.qual(*self.pair(e))
+    def flagged(self, pair: tuple[str, str]) -> Flagged:
+        return self.partition.flagged_semantics(self.kb.qual(*pair))
 
     def value(self, e: int) -> QRange:
-        return self.q[e]
+        return self.approximate(self.lo[e], self.lo_att[e], self.hi[e], self.hi_att[e])
 
-    def informative(self, e: int) -> bool:
-        return self.q[e] != self.full
+    def show_candidate(self, candidate: Flagged) -> str:
+        return self.show(self.approximate(*candidate))
 
-    def positive(self, e: int) -> bool:
-        return self.q[e].low > 0
-
-    def narrow(self, e: int, candidate: QRange):
-        old = self.q[e]
-        new = qualalg.meet(old, candidate)
+    def narrow(self, e: int, candidate: Flagged):
+        old, proposed = self.value(e), self.approximate(*candidate)
+        new = qualalg.meet(old, proposed)
         if new is None:  # no common label: consistent only on a threshold where both touch
-            return _SAME if self.partition.touch(old, candidate) else None
+            return _SAME if self.partition.touch(old, proposed) else None
         return _SAME if new == old else new
 
     def statement(self, new: QRange) -> tuple[ProbInterval, QRange]:
         return self.partition.semantics(new), new
 
     def syllogism(self, context):
-        a, b, c = context
-        n, q = self.n, self.q
-        return a * n + c, eval_extended(
-            self.partition, q[a * n + b], q[b * n + a], q[c * n + b], q[b * n + c]
-        )
+        target, (lo, hi) = super().syllogism(context)
+        return target, (lo, True, hi if hi > lo else lo, True)  # closed over a rounding inversion
 
     def cycle(self, context):
-        target, forward, backward = self.premises(context)
-        return target, gbt_qualitative(self.partition, forward(self.q), backward(self.q))
+        target, *getters = self.premises(context)
+        lists = self.lo, self.lo_att, self.hi, self.hi_att
+        forward, backward = (list(zip(*map(getter, lists))) for getter in getters)
+        return target, gbt_qualitative(forward, backward)
 
 
 def _domain(kb: KnowledgeBase):
@@ -580,20 +580,19 @@ def gen_table_cached(p: Partition) -> dict[Key, QRange]:
     return _table_cache[key]
 
 
-def gbt_qualitative(p: Partition, forward: list[QRange], backward: list[QRange]) -> QRange:
-    """Qualitative cycle rule: products first, one truncated quotient, approximated once.
+def gbt_qualitative(forward: list[Flagged], backward: list[Flagged]) -> Flagged:
+    """Qualitative cycle rule: products first, then one truncated quotient, on flagged hulls.
 
-    On the premises of `bayes_cycle`, as label ranges, this proposes for
-    P(A1|Ak) the approximation of the value set
-    quotient(P(Ak|A1) . P(A1|A2) .. P(Ak-1|Ak), P(A2|A1) .. P(Ak|Ak-1)),
-    computed on the premises' flagged hulls (`qualalg.product` and
-    `qualalg.quotient`), or the full range when the denominator is
-    identically 0, as `bayes_cycle` does.  It does not read P(A1|Ak) itself.
+    On the premises of `bayes_cycle`, as flagged hulls, this proposes for
+    P(A1|Ak) the value set
+    quotient(P(Ak|A1) . P(A1|A2) .. P(Ak-1|Ak), P(A2|A1) .. P(Ak|Ak-1))
+    (`qualalg.product` and `qualalg.quotient`), or the full hull when the
+    denominator is identically 0, as `bayes_cycle` does.  It does not read
+    P(A1|Ak) itself, and it leaves the approximation to the caller.
     """
-    flagged = p.flagged_semantics
-    num = reduce(qualalg.product, map(flagged, forward[-1:] + forward[:-1]))  # P(Ak|A1) first
-    den = reduce(qualalg.product, map(flagged, backward))
-    return p.full_range() if den[2] <= TOL else p._approximate(*qualalg.quotient(num, den))
+    num = reduce(qualalg.product, forward[-1:] + forward[:-1])  # P(Ak|A1) first
+    den = reduce(qualalg.product, backward)
+    return _ANY if den[2] <= TOL else qualalg.quotient(num, den)
 
 
 # -- querying and export -------------------------------------------------------

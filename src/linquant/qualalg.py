@@ -111,9 +111,6 @@ class ProbInterval(Value):
     def contains(self, x: float, tol: float = TOL) -> bool:
         return self.lo - tol <= x <= self.hi + tol
 
-    def contains_interval(self, other: "ProbInterval", tol: float = TOL) -> bool:
-        return self.lo - tol <= other.lo and other.hi <= self.hi + tol
-
     def intersect(self, other: "ProbInterval", tol: float = TOL) -> "ProbInterval | None":
         lo = max(self.lo, other.lo)
         hi = min(self.hi, other.hi)
@@ -204,11 +201,6 @@ class Partition:
 
     def full_range(self) -> QRange:
         return QRange(0, self.top)
-
-    def all_ranges(self) -> Iterator[QRange]:
-        for lo in range(self.n_labels):
-            for hi in range(lo, self.n_labels):
-                yield QRange(lo, hi)
 
     def validate(self, q: QRange) -> None:
         if not (0 <= q.low <= q.high <= self.top):
@@ -308,9 +300,6 @@ class Partition:
         self.validate(q)
         return q.high - q.low + 1
 
-    def midpoint(self, label: int) -> float:
-        return 0.5 * (self._lo[label] + self._hi[label])
-
     # -- qualitative arithmetic ---------------------------------------------
 
     def qmul(self, q1: QRange, q2: QRange) -> QRange:
@@ -365,11 +354,6 @@ def quotient(f1: Flagged, f2: Flagged) -> Flagged:
 
 
 # -- partition-independent QRange ops ---------------------------------------
-
-
-def certainty_leq(q1: QRange, q2: QRange) -> bool:
-    """Componentwise certainty order: q1 <= q2 iff both bounds are lower."""
-    return q1.low <= q2.low and q1.high <= q2.high
 
 
 def hull(q1: QRange, q2: QRange) -> QRange:

@@ -3,7 +3,10 @@
 Q5 = P(C|A) follows from Q1 = P(B|A), Q2 = P(A|B), Q3 = P(B|C) and
 Q4 = P(C|B).  For label ranges it is computed numerically on the hull
 semantics of the ranges and approximated once, at the very end; chaining
-pre-approximated sub-results instead loses too much precision.  The table
+pre-approximated sub-results instead loses too much precision.  That range
+evaluation, `eval_extended`, is what the tables and the tests check;
+saturation does not call it, but runs the same closed forms on the hulls it
+stores (`network`).  The table
 maps every 4-tuple of elementary labels to its Q5 through the same
 evaluation; it is a plain dict, and its partition stays with the caller.
 Q6 = P(A|C) needs no table of its own: it is the Q5 entry of the

@@ -6,7 +6,7 @@ from scipy.optimize import linprog
 
 from linquant.bounds import SyllogismInput
 from linquant.network import KnowledgeBase, ingest
-from linquant.qualalg import ProbInterval, scale5, scale7, scale9
+from linquant.qualalg import TOL, ProbInterval, QRange, scale5, scale7, scale9
 
 SCALE7 = "@partition 0.2 0.4 0.6 0.8\n@labels none al-none few half most al-all all\n"
 
@@ -95,6 +95,28 @@ def p7():
 @pytest.fixture(scope="session")
 def p9():
     return scale9()
+
+
+def all_ranges(p):
+    """Every label range of the scale p, by low label, then high."""
+    for lo in range(p.n_labels):
+        for hi in range(lo, p.n_labels):
+            yield QRange(lo, hi)
+
+
+def midpoint(p, label: int) -> float:
+    """The midpoint of one label's hull."""
+    hull = p.semantics(QRange(label, label))
+    return 0.5 * (hull.lo + hull.hi)
+
+
+def certainty_leq(q1, q2) -> bool:
+    """Componentwise certainty order: q1 <= q2 iff both bounds are lower."""
+    return q1.low <= q2.low and q1.high <= q2.high
+
+
+def contains_interval(outer: ProbInterval, inner: ProbInterval, tol: float = TOL) -> bool:
+    return outer.lo - tol <= inner.lo and inner.hi <= outer.hi + tol
 
 
 def value_set(p, q) -> tuple[float, bool, float, bool]:

@@ -8,9 +8,12 @@ lines of CHANGES.md record the LP evidence for each:
   but neither the LP-exact count (10) nor the program's (12, two of them
   from table entries looser than the LP) is promised by the documents, so
   the reference stays pinned.
-* c07 (9-label run): the published P(sport|single) = [most, v-many] is the
-  exact global LP range, which local chaining cannot derive; the program's
-  [most, al-all] is sound but incomplete.
+* c07 (9-label run) fails on two pairs.  The published P(single|student) =
+  [half, all] is looser than the program's [most, all], which is sound: it
+  is the approximation of the LP range [0.6075, 1], so no sound change to
+  the program gives the published range.  The published P(sport|single) =
+  [most, v-many] is the exact global LP range, which local chaining cannot
+  derive; the program's [most, al-all] is sound but incomplete.
 """
 
 import math
@@ -35,7 +38,9 @@ from conftest import (
     STUDENTS_KB9,
     STUDENTS_NUMERIC,
     STUDENTS_SATURATED,
+    all_ranges,
     certified_range,
+    contains_interval,
     cycle_rotations,
     random_subinterval,
     syllogism,
@@ -424,7 +429,7 @@ def test_c12_invariant_battery():
     p7 = scale7()
     p5 = scale5(0.3)
 
-    for q in p7.all_ranges():
+    for q in all_ranges(p7):
         if p7.antonym(p7.antonym(q)) != q:
             failures.append(f"antonym involution breaks at {q}")
         lo, lo_att, hi, hi_att = p7.flagged_semantics(q)
@@ -434,9 +439,9 @@ def test_c12_invariant_battery():
     for _ in range(100):
         a, b = sorted(rng.uniform(0, 1, 2))
         i = I(float(a), float(b))
-        if not p7.semantics(p7.approximate(i)).contains_interval(i):
+        if not contains_interval(p7.semantics(p7.approximate(i)), i):
             failures.append(f"approximation not sound for {i}")
-    ranges = list(p5.all_ranges())
+    ranges = list(all_ranges(p5))
     for q1 in ranges:
         for q2 in ranges:
             if qualalg.hull(q1, q2) != qualalg.hull(q2, q1):

@@ -18,6 +18,8 @@ from linquant.tables import (
     table_to_csv,
 )
 
+from conftest import all_ranges, contains_interval
+
 
 @pytest.fixture(scope="module")
 def t7(p7):
@@ -60,7 +62,7 @@ class TestGenTable:
                 ba, ab, bc, cb = (p.semantics(QRange(q, q)) for q in key)
                 res = oracle.solve(3, [(0, 1, ba), (1, 0, ab), (2, 1, bc), (1, 2, cb)], (0, 2))
                 if res.ok:
-                    assert p.semantics(q5).contains_interval(res.interval), (p.n_labels, key)
+                    assert contains_interval(p.semantics(q5), res.interval), (p.n_labels, key)
                     checked += 1
         assert checked > 2000
 
@@ -114,9 +116,9 @@ class TestEvalExtended:
 
     def test_monotone_on_random_range_tuples(self, p5, t5):
         rng = np.random.default_rng(21)
-        all_ranges = list(p5.all_ranges())
+        ranges = list(all_ranges(p5))
         for _ in range(300):
-            inner = [all_ranges[rng.integers(len(all_ranges))] for _ in range(4)]
+            inner = [ranges[rng.integers(len(ranges))] for _ in range(4)]
             outer = [
                 QRange(rng.integers(0, q.low + 1), rng.integers(q.high, p5.top + 1))
                 for q in inner
@@ -141,7 +143,7 @@ class TestEvalExtendedIsCellHull:
     def test_every_range_tuple_five_labels(self, p5, t5):
         # min/max of the cell bounds over every range along each axis in turn,
         # so that all 50,625 hulls come from one pass over the table
-        ranges = list(p5.all_ranges())
+        ranges = list(all_ranges(p5))
         m = p5.n_labels
         low = np.empty((m,) * 4, dtype=int)
         high = np.empty((m,) * 4, dtype=int)
@@ -162,7 +164,7 @@ class TestEvalExtendedIsCellHull:
     def test_sampled_range_tuples(self, scale, request):
         p = request.getfixturevalue(scale)
         table = gen_table(p)
-        ranges = list(p.all_ranges())
+        ranges = list(all_ranges(p))
         rng = np.random.default_rng(p.n_labels)
         for _ in range(4000):
             picked = [ranges[i] for i in rng.integers(len(ranges), size=4)]
