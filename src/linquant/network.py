@@ -361,8 +361,8 @@ class _Labels(_Store):
     """Qualitative mode: an edge holds the flagged hull of its label range.
 
     A candidate is a flagged hull, which `narrow` approximates once; an
-    edge's label range is the approximation of its hull, which
-    `flagged_semantics` makes exactly.  The lattice of ranges is finite, so
+    edge's label range is the approximation of its hull, which inverts
+    `flagged_semantics` exactly.  The lattice of ranges is finite, so
     equality ends it.
     """
 

@@ -6,9 +6,9 @@ semantics of the ranges and approximated once, at the very end; chaining
 pre-approximated sub-results instead loses too much precision.  That range
 evaluation, `eval_extended`, is what the tables and the tests check;
 saturation does not call it, but runs the same closed forms on the hulls it
-stores (`network`).  The table
-maps every 4-tuple of elementary labels to its Q5 through the same
-evaluation; it is a plain dict, and its partition stays with the caller.
+stores (`network`).  The table maps every 4-tuple of elementary labels to
+its Q5 through the same evaluation; it is a plain dict, and its partition
+stays with the caller.
 Q6 = P(A|C) needs no table of its own: it is the Q5 entry of the
 role-swapped key, `table[(q3, q4, q1, q2)]`.
 """
