@@ -2,64 +2,63 @@
 
 Statements constrain P(to|from) for ordered node pairs, either numerically
 or with a qualitative range over the KB's scale.  Saturation applies the
-syllogism pattern to node triples and the cycle form of Bayes' theorem to
-the rotations of simple cycles of three and four nodes until no edge
-narrows.  One engine serves both modes, and `_domain` picks the mode's
-domain in one place.  The rules only propose: each reads the edges of its
-context, never its target, and returns a candidate for the target.  The
-domain's `narrow` alone meets the candidate into the edge, and an empty
-meet raises `ContradictionError` in both modes.  `_constrain` alone writes
-an edge of `kb.edges`: a narrowed value reaches it as a statement
-(`statement`), met in as a stated line is.  Numeric mode runs the closed
-forms on interval ends, and a move of at most 1e-9 is no change, so
-floating point terminates; a stated label range narrows with its edge's
-interval.  Qualitative mode runs the same syllogism on the hulls of label
-ranges, and its cycle rule takes products and one quotient of the flagged
-hulls (`gbt_qualitative`); `narrow` approximates each candidate once.  The
-lattice of ranges is finite, so it terminates exactly.  What a label means
-is the scale's business: two label ranges with no common label are no
-clash when `Partition.touch` finds a value they share, so a statement keeps
-the upper range and `narrow` keeps the current one, and `Partition.restrict`
-narrows a stated range to an edge's interval.  A self edge stores nothing:
-P(a|a) = 1, so a statement on one is a clash when it excludes 1, as
-`al-all` does.
+syllogism pattern to node triples and the cycle form of Bayes' theorem,
+over cycles of every length, to ordered node pairs until no edge narrows.
+One engine serves both modes; `_domain` picks the mode's domain.  The rules
+only propose: each reads the edges of its context, never its target, and
+returns a candidate for the target.  The domain's `narrow` alone meets the
+candidate into the edge, and an empty meet raises `ContradictionError`.
+`_constrain` alone writes an edge of `kb.edges`: a narrowed value reaches it
+as a statement (`statement`), met in as a stated line is.  Numeric mode
+stops where a bound moves by at most 1e-9, so floating point terminates; a
+stated label range narrows with its edge's interval.  Qualitative mode
+approximates each candidate once, in `narrow`, and its lattice of ranges is
+finite.  What a label means is the scale's business: two label ranges with
+no common label are no clash when `Partition.touch` finds a value they
+share, so a statement keeps the upper range and `narrow` keeps the current
+one, and `Partition.restrict` narrows a stated range to an edge's interval.
+A self edge stores nothing: P(a|a) = 1, so a statement on one is a clash
+when it excludes 1, as `al-all` does.
 
 Saturation is index-addressed.  `saturate` numbers the KB's nodes once, in
-sorted order, and the engine works on those numbers: the graph of `_Graph`,
-both queues, every context and every rule.  In both modes the store keeps
+sorted order, and works on those numbers.  In both modes the store keeps
 each edge u -> v as a flagged hull (lo, lo attained, hi, hi attained) at
-index u*n+v of four flat lists, self edges preset to 1: a numeric edge
-attains both ends of its interval, and a label range carries the flags of
+index u*n+v of four flat lists: a numeric edge attains both ends of its
+interval, and a label range carries the flags of
 `Partition.flagged_semantics`, which its approximation inverts exactly.  So
-a rule application reads list items, allocates no interval and, in
-qualitative mode, restates no label's meaning.  An edge that narrows goes
-through `_constrain`, which also restricts a stated label range, and is
-loaded back from `kb.edges`, the store of record.  Names come back only where a user reads
-them: in `TraceStep`s, in `ContradictionError` messages and their chains.
+a rule application reads list items and, in qualitative mode, restates no
+label's meaning.  A narrowed edge is loaded back from `kb.edges`, the store
+of record.  Names come back only in `TraceStep`s and in
+`ContradictionError` messages and their chains.
+
+The cycle rule works on bounds of class-mass ratios.  By Bayes' theorem
+P(y)/P(x) = P(y|x)/P(x|y) <= hi(y|x)/lo(x|y), and ratios multiply along a
+path, so the tightest bound over paths of every length is a shortest path:
+the minimal network of a Simple Temporal Problem (Dechter, Meiri & Pearl,
+AIJ 1991), on products.  `_Store.close` computes it (Floyd-Warshall) and
+`relax` keeps it closed as edges narrow, in O(n^2) a narrowing.  A bound is
+attained or open, as the bounds of difference-bound matrices are strict or
+not (Bengtsson & Yi 2004), so one closure serves both modes.  The candidate
+for x -> y, [lo(x|y) / ratio(y, x), hi(x|y) . ratio(x, y)] clipped to
+[0, 1], is never looser than `bayes_cycle` or `gbt_qualitative` on any
+rotation of any simple cycle, which the tests keep as references.  A step
+narrows one end and names the cycle A1 = y, .., Ak = x of that end's path.
 
 The engine is a worklist (AC-3, Mackworth 1977): it applies a rule only to
 contexts that can narrow, and after an edge narrows it queues again only
-the contexts that read that edge; a rotation whose target is that edge
-does not read it.  Until the first rotation is taken every rotation that
-can narrow is still queued, so until then a narrowing lists rotations only
-when it has made its edge positive.  Two rules say which contexts can narrow:
-
-- a syllogism (a, b, c) needs an informative edge between b and a and one
-  between b and c, in either direction, because with either pair vacuous
-  the closed forms give the vacuous candidate;
-- a cycle rotation A1..Ak needs a positive lower bound on every edge of the
-  path A1 -> .. -> Ak (its upper side) or of Ak -> .. -> A1 (its lower
-  side), because each side divides by or multiplies those lower bounds and
-  drops a zero.
+the contexts that read that edge.  A syllogism (a, b, c) needs an
+informative edge between b and a and one between b and c, in either
+direction, as with either pair vacuous the closed forms give the vacuous
+candidate.  The cycle rule on a pair needs a ratio bound either way; after
+u -> v narrows, (v, u) reads it, and every pair whose bound moved is queued
+again both ways.
 
 Both rules are monotone narrowing operators, so the fixpoint does not
-depend on the order in which contexts are applied (Cousot & Cousot 1977),
-up to the 1e-9 stop of numeric mode: a bound that converges slowly stops
-where one step moves it by less than 1e-9, so two orders can stop a few
-1e-9 apart (2.2e-9 has been seen).  The queues keep the order in which
-`_Graph` lists contexts, which follows the class numbers, so a run depends
-neither on the string hash seed nor on the order in which statements name
-the classes.
+depend on the order of application (Cousot & Cousot 1977), up to the 1e-9
+stop of numeric mode: a slowly converging bound stops where one step moves
+it by less than 1e-9, so two orders can stop a few 1e-9 apart (2.2e-9 has
+been seen).  The queues follow the class numbers, so a run depends neither
+on the string hash seed nor on the order of the statements.
 """
 
 from __future__ import annotations
@@ -67,11 +66,11 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from functools import reduce
-from operator import itemgetter
+from math import inf
 from typing import NamedTuple
 
 from . import qualalg, tables
-from .bounds import bayes_cycle, syllogism_lower, syllogism_upper
+from .bounds import bayes_cycle, syllogism_lower, syllogism_upper  # noqa: F401  traced by perfbench
 from .qualalg import (
     _ANY, FULL, TOL, ContradictionError, Flagged, Partition, ProbInterval, QRange, UnknownNode, Value,
     strip_comment,
@@ -231,8 +230,9 @@ def parse_kb(text: str, mode: str = "numeric") -> KnowledgeBase:
 def simple_cycles(nodes: list[str], max_len: int) -> list[tuple[str, ...]]:
     """Canonical simple cycles, shortest first, rotation/reflection minimal.
 
-    Saturation does not list cycles: it grows positive paths (`_Graph`).
-    The tests sweep these cycles to check that it missed none that narrows.
+    Saturation does not list cycles: it bounds ratios over paths of every
+    length (`_Store.close`).  The tests sweep these cycles to check that no
+    rotation of one can still narrow an edge.
     """
     out: list[tuple[str, ...]] = []
     ordered = sorted(nodes)
@@ -253,13 +253,16 @@ _SAME = object()  # what `narrow` returns when the edge keeps its value
 
 
 class _Store:
-    """The KB's classes numbered in sorted order, and its edges addressed u*n+v.
+    """The KB's classes numbered in sorted order, its edges addressed u*n+v, and its ratio bounds.
 
     Each edge is a flagged hull, (lo, lo attained, hi, hi attained), in four
     flat lists at its index, in both modes; self edges hold P(a|a) = 1.
     `load` copies an edge in from `kb.edges`, the store of record, through
-    the mode's `flagged`, and `pair` names it again.  The syllogism reads the
-    hull's ends alone.
+    the mode's `flagged`; an informative edge puts each end in the other's
+    `near`, a dict of classes in class-number order.  `close` adds,
+    at index x*n+y, a flagged upper bound on P(y)/P(x) over paths of every
+    length, and `hop`, the class after x on its path; inf is no bound when
+    attained, and finite but unknown when open.  `relax` keeps them closed.
     """
 
     def __init__(self, kb: KnowledgeBase):
@@ -271,6 +274,7 @@ class _Store:
         self.lo, self.hi = [0.0] * (n * n), [1.0] * (n * n)
         self.lo_att, self.hi_att = [True] * (n * n), [True] * (n * n)
         self.lo[:: n + 1] = [1.0] * n  # P(a|a) = 1
+        self.near: list[dict] = [{} for _ in range(n)]
         for e in self.stated:
             self.load(e)
 
@@ -283,51 +287,145 @@ class _Store:
 
     def load(self, e: int) -> None:
         self.lo[e], self.lo_att[e], self.hi[e], self.hi_att[e] = self.flagged(self.pair(e))
+        if self.informative(e):
+            u, v = divmod(e, self.n)
+            self.near[u][v] = self.near[v][u] = True
 
     def informative(self, e: int) -> bool:
         return self.lo[e] != 0.0 or self.hi[e] != 1.0 or not (self.lo_att[e] and self.hi_att[e])
 
-    def positive(self, e: int) -> bool:
-        return self.lo[e] > 0.0 or not self.lo_att[e]
-
-    def premises(self, seq: tuple[int, ...]) -> tuple[int, itemgetter, itemgetter]:
-        """The cycle rule's target edge on the rotation A1..Ak, and getters of its premises.
-
-        The target is P(A1|Ak).  The getters take a flat list and return,
-        left to right, the forward premises P(Ai|Ai+1) for i < k, then
-        P(Ak|A1), and the backward ones P(Ai+1|Ai) for i < k, which leave
-        out the target.  Spelled out for the cycle rule's two lengths, k = 3
-        and k = 4.
-        """
-        n = self.n
-        if len(seq) == 3:
-            a, b, c = seq
-            forward = itemgetter(b * n + a, c * n + b, a * n + c)
-            return c * n + a, forward, itemgetter(a * n + b, b * n + c)
-        a, b, c, d = seq
-        forward = itemgetter(b * n + a, c * n + b, d * n + c, a * n + d)
-        return d * n + a, forward, itemgetter(a * n + b, b * n + c, c * n + d)
+    def triples(self, pair: tuple[int, int] | None = None) -> list[tuple[int, int, int]]:
+        """Syllogisms (a, b, c) with a and c near b; if `pair` is given, those that read it."""
+        if pair is None:
+            return [(a, b, c) for b, ab in enumerate(self.near) for a in ab for c in ab if a != c]
+        return [
+            triple
+            for b, other in (pair, pair[::-1]) for x in self.near[b] if x != other
+            for triple in ((other, b, x), (x, b, other))
+        ]
 
     def syllogism(self, context):
         a, b, c = context
         n, lo, hi = self.n, self.lo, self.hi
         ab, ba, bc, cb = a * n + b, b * n + a, b * n + c, c * n + b  # edge x -> y holds P(y|x)
         return a * n + c, (
-            syllogism_lower(lo[ab], lo[ba], lo[bc]),
-            syllogism_upper(lo[ab], hi[ab], lo[ba], hi[bc], lo[cb]),
+            syllogism_lower(lo[ab], lo[ba], lo[bc]), True,
+            syllogism_upper(lo[ab], hi[ab], lo[ba], hi[bc], lo[cb]), True,
         )
+
+    def direct(self, x: int, y: int) -> tuple[float, bool]:
+        """hi(y|x) / lo(x|y), which bounds P(y)/P(x) = P(y|x)/P(x|y) by Bayes' theorem.
+
+        A lower end of 0 gives inf, attained (no bound) when P(x|y) may be 0,
+        and open when it is positive, unless P(y|x) is 0.
+        """
+        n = self.n
+        den, den_att = self.lo[y * n + x], self.lo_att[y * n + x]
+        num, num_att = self.hi[x * n + y], self.hi_att[x * n + y]
+        if den != 0.0:
+            return num / den, num_att and den_att
+        return (0.0, num_att) if num == 0.0 and not den_att else (inf, den_att)
+
+    def close(self) -> list[tuple[int, int]]:
+        """Bound every ratio over paths of every length; returns the pairs bounded either way.
+
+        One Floyd-Warshall pass, over the bounded entries of each pivot's
+        column and row only, so a sparse KB costs little.
+        """
+        n = self.n
+        self.ratio, self.ratio_att = [inf] * (n * n), [True] * (n * n)
+        self.hop = list(range(n)) * n  # x's path to y steps to y itself
+        self.ratio[:: n + 1] = [1.0] * n
+        for e in self.stated:  # the edge v -> u holds lo(u|v), the one bound direct(u, v) needs
+            v, u = divmod(e, n)
+            self.ratio[u * n + v], self.ratio_att[u * n + v] = self.direct(u, v)
+        for k in range(n):
+            self._through(self._line(k, n * n, n), self._line(k * n, k * n + n, 1))
+        pairs = {(x, y) for x in range(n) for y, *_ in self._line(x * n, x * n + n, 1) if x != y}
+        return sorted(pairs | {(y, x) for x, y in pairs})
+
+    def _line(self, start: int, stop: int, step: int) -> list[tuple[int, float, bool, int]]:
+        """The bounded entries of a column or row of the ratio bounds, with their other class."""
+        ratio, att, hop = self.ratio, self.ratio_att, self.hop
+        return [(k, ratio[e], att[e], hop[e]) for k, e in enumerate(range(start, stop, step))
+                if ratio[e] != inf or not att[e]]
+
+    def _through(self, left, right) -> list[int]:
+        """Meet ratio(i, k) . ratio(k, j) into ratio(i, j), i left and j right; returns what moved.
+
+        Only bounded entries come in, so 0 times an inf is 0, and a product
+        of 0 is attained.  At an equal value the open bound is the tighter.
+        """
+        n, ratio, att, hop = self.n, self.ratio, self.ratio_att, self.hop
+        moved = []
+        for i, a, a_att, first in left:
+            base = i * n
+            for j, b, b_att, _ in right:
+                v, e = a * b if a and b else 0.0, base + j
+                tighter = v < ratio[e] or v == ratio[e] and v and att[e] and not (a_att and b_att)
+                if tighter and i != j:
+                    ratio[e], att[e], hop[e] = v, a_att and b_att or not v, first
+                    moved.append(e)
+        return moved
+
+    def relax(self, u: int, v: int) -> list[tuple[int, int]]:
+        """Keep the ratio bounds closed after the edge u -> v narrows; returns the pairs to try.
+
+        Every pair is relaxed through each of the direct bounds of (u, v)
+        and (v, u) that tightens.  The pairs are (v, u), which reads the
+        edge, and every pair whose bound moved, both ways.
+        """
+        n, ratio, att = self.n, self.ratio, self.ratio_att
+        moved = []
+        for x, y in ((u, v), (v, u)):
+            d, d_att = self.direct(x, y)
+            e = x * n + y
+            if d < ratio[e] or d == ratio[e] and att[e] and not d_att:
+                left = [(i, r * d if r and d else 0.0, r_att and d_att, h if i != x else y)
+                        for i, r, r_att, h in self._line(x, n * n, n)]
+                moved += self._through(left, self._line(y * n, y * n + n, 1))
+        pairs = [(v, u)]
+        for x, y in map(divmod, moved, itertools.repeat(n)):
+            pairs += [(x, y), (y, x)]
+        return list(dict.fromkeys(pairs))
+
+    def bayes(self, pair: tuple[int, int]) -> tuple[int, Flagged]:
+        """The cycle rule's candidate for the edge x -> y, from the ratio bounds either way.
+
+        P(y|x) = P(x|y) . P(y)/P(x), so it lies in [lo(x|y) / ratio(y, x),
+        hi(x|y) . ratio(x, y)], clipped to [0, 1] with the flags of
+        `qualalg.quotient` and `qualalg.product`.  No bound, or a bound of 0
+        below, leaves that end vacuous; an open inf below leaves an open 0
+        when P(x|y) is positive.
+        """
+        x, y = pair
+        xy, yx = x * self.n + y, y * self.n + x
+        a, a_att, r, r_att = self.lo[yx], self.lo_att[yx], self.ratio[yx], self.ratio_att[yx]
+        lo, lo_att = (a / r, a_att and (r_att or not a)) if r and (r < inf or not r_att) else (0.0, True)
+        b, b_att, r, r_att = self.hi[yx], self.hi_att[yx], self.ratio[xy], self.ratio_att[xy]
+        hi, hi_att = (b * r, r_att and (b_att or not r)) if b else (0.0, b_att)  # 0 . inf is 0
+        if r == inf and r_att:
+            hi, hi_att = 1.0, True
+        return xy, (min(lo, 1.0), lo_att or lo >= 1.0, min(hi, 1.0), hi_att or hi > 1.0)
+
+    def path(self, x: int, y: int) -> list[int]:
+        """The classes of the path from x to y that the ratio bound of (x, y) reads."""
+        path = [x]
+        while path[-1] != y and len(path) <= self.n:  # in a KB that clashes it can loop
+            path.append(self.hop[path[-1] * self.n + y])
+        return path
 
 
 class _Intervals(_Store):
     """Numeric mode: an edge attains both ends of its interval.
 
-    A move of at most `_EPS` is no change.  A candidate is a (lo, hi) pair,
-    inverted by at most rounding (lo <= hi + 1e-12).
+    A move of at most `_EPS` is no change.  A candidate is a flagged hull,
+    read by its two ends, inverted by at most rounding (lo <= hi + 1e-12).
     """
 
     cycle_phase = "bayes"
     show = str
-    show_candidate = "[{0[0]:.6f}, {0[1]:.6f}]".format
+    show_candidate = "[{0[0]:.6f}, {0[2]:.6f}]".format
 
     def flagged(self, pair: tuple[str, str]) -> Flagged:
         ival = self.kb.interval(*pair)
@@ -336,10 +434,10 @@ class _Intervals(_Store):
     def value(self, e: int) -> ProbInterval:
         return ProbInterval(self.lo[e], self.hi[e])
 
-    def narrow(self, e: int, candidate):
+    def narrow(self, e: int, candidate: Flagged):
         old_lo, old_hi = self.lo[e], self.hi[e]
         lo = candidate[0] if candidate[0] > old_lo else old_lo  # the meet, without max and min
-        hi = candidate[1] if candidate[1] < old_hi else old_hi
+        hi = candidate[2] if candidate[2] < old_hi else old_hi
         if lo > hi + TOL:
             return None
         hi = hi if hi > lo else lo
@@ -350,11 +448,6 @@ class _Intervals(_Store):
     @staticmethod
     def statement(new: ProbInterval) -> tuple[ProbInterval, None]:
         return new, None
-
-    def cycle(self, context):
-        target, forward, backward = self.premises(context)
-        lo, hi = self.lo, self.hi
-        return target, bayes_cycle(forward(lo), forward(hi), backward(lo), backward(hi))
 
 
 class _Labels(_Store):
@@ -393,16 +486,6 @@ class _Labels(_Store):
     def statement(self, new: QRange) -> tuple[ProbInterval, QRange]:
         return self.partition.semantics(new), new
 
-    def syllogism(self, context):
-        target, (lo, hi) = super().syllogism(context)
-        return target, (lo, True, hi if hi > lo else lo, True)  # closed over a rounding inversion
-
-    def cycle(self, context):
-        target, *getters = self.premises(context)
-        lists = self.lo, self.lo_att, self.hi, self.hi_att
-        forward, backward = (list(zip(*map(getter, lists))) for getter in getters)
-        return target, gbt_qualitative(forward, backward)
-
 
 def _domain(kb: KnowledgeBase):
     """The mode's domain: how its edges are stored, read, shown, narrowed and written."""
@@ -413,36 +496,37 @@ def saturate(kb: KnowledgeBase) -> tuple[KnowledgeBase, list[TraceStep]]:
     """Run the syllogism and the cycle rule to a fixpoint; returns a copy and its trace.
 
     Two first-in first-out queues hold the contexts still to apply: node
-    triples for the syllogism and cycle rotations for the cycle rule, both
-    as tuples of class numbers.  They start with every context that can
-    narrow (see the module docstring) and the syllogism queue drains before
-    each rotation, so the syllogism phase runs first and again after every
-    rotation that narrows an edge.  When an edge narrows, the contexts that
-    read it are queued again, each at most once at a time, in the order
-    `_Graph` lists them (rotations only once one has been taken or the edge
-    has turned positive); saturation ends when both queues are empty.  A
-    narrowed value reaches its edge through `_constrain`, so a stated range
-    that it leaves no label of is a clash, as at ingestion, and the store
-    loads the edge back from `kb.edges`.
+    triples for the syllogism and ordered pairs for the cycle rule.  They
+    start with every context that can narrow, and the syllogism queue drains
+    before each pair.  A narrowed value reaches its edge through
+    `_constrain`, so a stated range that it leaves no label of is a clash,
+    as at ingestion; the ratio bounds are relaxed through the edge, and the
+    contexts that read it are queued again, each at most once at a time.
     """
     out = kb.copy()
     trace: list[TraceStep] = []
     domain = _domain(out)
-    graph = _Graph(domain)
     names = domain.names
-    syllogisms, rotations = _Queue(graph.triples()), _Queue(graph.rotations())
-    rotated = False  # until a rotation is taken, every one that can narrow is queued
-    while syllogisms or rotations:
+    syllogisms, pairs = _Queue(domain.triples()), _Queue(domain.close())
+    while syllogisms or pairs:
         if syllogisms:
             phase, context = "syllogism", syllogisms.take()
             target, candidate = domain.syllogism(context)
         else:
-            phase, context = domain.cycle_phase, rotations.take()
-            target, candidate = domain.cycle(context)
-            rotated = True
+            phase, context = domain.cycle_phase, pairs.take()
+            target, candidate = domain.bayes(context)
         new = domain.narrow(target, candidate)
         if new is _SAME:
             continue
+        if phase != "syllogism":  # one end at a time, so that one cycle explains each step
+            x, y = context
+            lower = candidate[:2] + (1.0, True)
+            narrowed = domain.narrow(target, lower)
+            if narrowed is _SAME:  # the upper end, from the path x -> .. -> y
+                context = domain.path(x, y)[::-1]
+            else:  # the lower end, from the path y -> .. -> x; the upper one waits its turn
+                pairs.extend([context])
+                context, candidate, new = domain.path(y, x), lower, narrowed
         shown = tuple(names[x] for x in context)
         pair = domain.pair(target)
         old = domain.show(domain.value(target))
@@ -459,94 +543,9 @@ def saturate(kb: KnowledgeBase) -> tuple[KnowledgeBase, list[TraceStep]]:
         domain.load(target)
         trace.append(TraceStep(phase, shown, pair, old, domain.show(new)))
         edge = divmod(target, domain.n)
-        turned_positive = graph.add(*edge)
-        syllogisms.extend(graph.triples(edge))
-        if rotated or turned_positive:
-            rotations.extend(graph.rotations(edge))
+        syllogisms.extend(domain.triples(edge))
+        pairs.extend(domain.relax(*edge))
     return out, trace
-
-
-class _Graph:
-    """The edges that decide which contexts can narrow, updated as edges narrow.
-
-    `near[b]` holds the classes with an informative edge to or from class b,
-    and `succ[x]` and `pred[y]` the edges x -> y with a positive lower bound,
-    all by class number.  An edge only narrows, so it never leaves them.
-    They are dicts, so they iterate in insertion order, which follows the
-    class numbers.
-    """
-
-    def __init__(self, domain: _Store):
-        self.domain = domain
-        n = domain.n
-        self.near: list[dict] = [{} for _ in range(n)]
-        self.succ: list[dict] = [{} for _ in range(n)]
-        self.pred: list[dict] = [{} for _ in range(n)]
-        for e in domain.stated:
-            self.add(*divmod(e, n))
-
-    def add(self, u: int, v: int) -> bool:
-        """Enter the edge u -> v; returns whether it has just turned positive."""
-        e = u * self.domain.n + v
-        if self.domain.informative(e):
-            self.near[u][v] = self.near[v][u] = True
-        if v in self.succ[u] or not self.domain.positive(e):
-            return False
-        self.succ[u][v] = self.pred[v][u] = True
-        return True
-
-    def triples(self, pair: tuple[int, int] | None = None) -> list[tuple[int, int, int]]:
-        """Syllogisms (a, b, c) with a and c near b; if `pair` is given, those that read it."""
-        if pair is None:
-            return [(a, b, c) for b, ab in enumerate(self.near) for a in ab for c in ab if a != c]
-        return [
-            triple
-            for b, other in (pair, pair[::-1]) for x in self.near[b] if x != other
-            for triple in ((other, b, x), (x, b, other))
-        ]
-
-    def rotations(self, pair: tuple[int, int] | None = None) -> list[tuple[int, ...]]:
-        """Rotations of 3 and 4 classes that run along a positive path forward or backward.
-
-        If `pair` is given, only those that read it.  A rotation reads both
-        directions of every edge of its cycle except its target, so these
-        are the ones whose cycle has the edge, less those whose target it
-        is.  A path whose cycle has the edge (x, y) either steps from x to
-        y, with the other classes after y, before x, or one on each side, or
-        runs from x to y.  Each path is grown from its start, or from its
-        step, one class at a time along `succ` and `pred`; no class is its
-        own successor.
-        """
-        succ, pred = self.succ, self.pred
-        paths = []
-        if pair is None:
-            for x, after in enumerate(succ):
-                three = [(x, w, z) for w in after for z in succ[w] if z != x]
-                paths += three
-                paths += [path + (z,) for path in three for z in succ[path[2]] if z not in path]
-        else:
-            for x, y in (pair, pair[::-1]):
-                step = y in succ[x]
-                after = [(x, y, w) for w in succ[y] if w != x] if step else []
-                before = [(w, x, y) for w in pred[x] if w != y] if step else []
-                # 3 classes: the step with one after or before it, or x to y through one
-                paths += after + before
-                paths += [(x, w, y) for w in succ[x] if w != y and y in succ[w]]
-                # 4 classes: two after, one on each side, two before, or x to y through two
-                paths += [path + (z,) for path in after for z in succ[path[2]] if z not in path]
-                paths += [path + (z,) for path in before for z in succ[y] if z not in path]
-                paths += [(z,) + path for path in before for z in pred[path[0]] if z not in path]
-                paths += [
-                    (x, w, z, y)
-                    for w in succ[x] if w != y
-                    for z in succ[w] if z != x and z != y and y in succ[z]
-                ]
-        # each path and its reverse, in order; a path whose reverse is positive
-        # too is grown twice, once each way, and kept once
-        seqs = {}
-        for path in paths:
-            seqs[path] = seqs[path[::-1]] = None
-        return [seq for seq in seqs if (seq[-1], seq[0]) != pair]
 
 
 class _Queue(deque):

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from linquant.bounds import SyllogismInput
-from linquant.network import KnowledgeBase, ingest
+from linquant.bounds import SyllogismInput, bayes_cycle
+from linquant.network import KnowledgeBase, gbt_qualitative, ingest
 from linquant.qualalg import TOL, ProbInterval, QRange, scale5, scale7, scale9
 
 SCALE7 = "@partition 0.2 0.4 0.6 0.8\n@labels none al-none few half most al-all all\n"
@@ -173,6 +173,31 @@ def cycle_rotations(cycle: tuple[str, ...]):
     for seq in (cycle, cycle[:1] + cycle[:0:-1]):
         for r in range(len(seq)):
             yield seq[r:] + seq[:r]
+
+
+def rotation_candidate(domain, seq: tuple[int, ...]):
+    """The cycle rule on one rotation A1..Ak of class numbers, any k >= 2: its target and candidate.
+
+    The target is P(A1|Ak).  The forward premises are P(Ai|Ai+1) for i < k,
+    then P(Ak|A1), and the backward ones P(Ai+1|Ai) for i < k.  Numeric mode
+    takes `bayes_cycle` on their ends and qualitative mode `gbt_qualitative`
+    on their flagged hulls, both read from `domain`, the saturation store of
+    `network._domain`.  Saturation bounds every ratio over paths of every
+    length instead, so no rotation may narrow an edge at its fixpoint.
+    """
+    n, k = domain.n, len(seq)
+    forward = [seq[i + 1] * n + seq[i] for i in range(k - 1)] + [seq[0] * n + seq[-1]]
+    backward = [seq[i] * n + seq[i + 1] for i in range(k - 1)]
+    target = seq[-1] * n + seq[0]
+    if domain.kb.mode == "qualitative":
+        def hulls(edges):
+            return [(domain.lo[e], domain.lo_att[e], domain.hi[e], domain.hi_att[e]) for e in edges]
+
+        return target, gbt_qualitative(hulls(forward), hulls(backward))
+    lo, hi = domain.lo, domain.hi
+    ends = [[bound[e] for e in edges] for edges in (forward, backward) for bound in (lo, hi)]
+    c_lo, c_hi = bayes_cycle(*ends)
+    return target, (c_lo, True, c_hi, True)
 
 
 def chain_kb(n: int) -> str:

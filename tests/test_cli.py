@@ -104,7 +104,8 @@ def test_propagate_contradictory_statements(tmp_path, capsys):
     assert err.startswith("contradiction: line 4: ") and len(err.splitlines()) == 1
 
 
-# the Bayes cycle c0 -> c1 -> c2 closes on an empty refinement of P(c0|c2)
+# around the cycle c0, c3, c2, c1 the bounds on the class-mass ratios
+# multiply to 0.14 < 1, so the cycle rule empties an edge of it
 CYCLE_CLASH = SCALE7 + """\
 n c0 c1 0.732 0.753
 n c1 c0 0.283 0.309
@@ -123,7 +124,7 @@ def test_propagate_cycle_contradiction(tmp_path, capsys):
     kb.write_text(CYCLE_CLASH)
     assert main(["propagate", str(kb), "--out", str(tmp_path / "run")]) == 1
     assert capsys.readouterr().err == (
-        "contradiction: bayes (c0, c1, c2) empties edge c2 -> c0: [0.267, 0.354] meets [0.023570, 0.140159]\n"
+        "contradiction: bayes (c1, c0) empties edge c0 -> c1: [0.732, 0.753] meets [1.000000, 1.000000]\n"
         "  syllogism ('c1', 'c0', 'c3'): ('c1', 'c3') [0.000, 1.000] -> [0.003, 0.186]\n"
         "  syllogism ('c3', 'c0', 'c1'): ('c3', 'c1') [0.000, 1.000] -> [0.019, 1.000]\n"
         "  syllogism ('c2', 'c1', 'c0'): ('c2', 'c0') [0.000, 1.000] -> [0.000, 0.354]\n"
@@ -159,8 +160,9 @@ def test_propagate_tiny_lower_bounds(tmp_path, capsys, mode):
     assert "a -> b" in capsys.readouterr().out
 
 
-# P(c2|c1) = none empties the cycle's numerator, so P(c1|c2) must be 0,
-# which the stated [0.1, 0.9] excludes; numeric mode finds it by a syllogism
+# P(c2|c1) = none while P(c1|c2) is positive bounds P(c2)/P(c1) by 0, and
+# P(c2|c3) = [most, all] bounds P(c3)/P(c2), so P(c3|c1) must be 0, which the
+# stated [few, most] excludes; numeric mode finds a clash by a syllogism
 CYCLE_CLASH_QUALITATIVE = SCALE7 + """\
 n c2 c1 0.1 0.9
 q c1 c3 few most
@@ -171,7 +173,7 @@ q c3 c2 most all
 
 CYCLE_CLASH_MESSAGES = {
     "numeric": "syllogism (c3, c1, c2) empties edge c3 -> c2: [0.600, 1.000] meets [0.000000, 0.000000]",
-    "qualitative": "gbt (c1, c3, c2) empties edge c2 -> c1: [al-none, al-all] meets none",
+    "qualitative": "gbt (c3, c2, c1) empties edge c1 -> c3: [few, most] meets none",
 }
 
 

@@ -2,6 +2,7 @@
 
 import collections
 import contextlib
+import functools
 import itertools
 import math
 import os
@@ -31,8 +32,9 @@ from linquant.oracle import class_event, solve, solve_events
 from linquant.qualalg import ProbInterval as I
 
 from conftest import (
-    SCALE7, STUDENTS_KB7, STUDENTS_KB9, STUDENTS_NUMERIC, all_ranges, chain_kb, conditionals_of,
-    contains_interval, cycle_rotations, points_of, random_numeric_kbs, value_set,
+    SCALE7, STUDENTS_KB7, STUDENTS_KB9, STUDENTS_NUMERIC, all_ranges, certified_range, chain_kb,
+    class_masks, conditionals_of, contains_interval, cycle_rotations, points_of, random_numeric_kbs,
+    rotation_candidate, value_set,
 )
 
 
@@ -509,7 +511,7 @@ def assert_fixpoint(sat: KnowledgeBase) -> None:
     classes = range(domain.n)
     rotations = itertools.chain.from_iterable(map(cycle_rotations, simple_cycles(classes, 4)))
     for rule, contexts in ((domain.syllogism, itertools.permutations(classes, 3)),
-                           (domain.cycle, rotations)):
+                           (functools.partial(rotation_candidate, domain), rotations)):
         for context in contexts:
             target, candidate = rule(context)
             assert domain.narrow(target, candidate) is network._SAME, (
@@ -520,7 +522,8 @@ def assert_fixpoint(sat: KnowledgeBase) -> None:
 def gbt(kb: KnowledgeBase, seq: tuple[str, ...]):
     """The qualitative cycle rule's candidate on the rotation `seq` of class names, approximated."""
     domain = network._domain(kb)
-    return kb.partition._approximate(*domain.cycle(tuple(domain.index[name] for name in seq))[1])
+    _, candidate = rotation_candidate(domain, [domain.index[name] for name in seq])
+    return kb.partition._approximate(*candidate)
 
 
 def _fixpoint_cases():
@@ -540,12 +543,6 @@ def distinct(contexts: list[tuple[str, ...]]) -> set[tuple[str, ...]]:
     return set(contexts)
 
 
-def read_by(seq: tuple[int, ...]) -> set[tuple[int, int]]:
-    """The edges the cycle rule reads on `seq`: those of its cycle, both ways, less its target."""
-    steps = set(zip(seq, seq[1:] + seq[:1]))
-    return (steps | {step[::-1] for step in steps}) - {(seq[-1], seq[0])}
-
-
 class TestWorklist:
     def test_saturation_is_a_fixpoint_of_every_context(self):
         # the worklist skips contexts that cannot narrow; a full pass over
@@ -557,68 +554,44 @@ class TestWorklist:
             assert_fixpoint(sat)
 
     def test_contexts_that_read_an_edge(self):
-        # the contexts queued after an edge narrows are exactly those that
+        # the syllogisms queued after an edge narrows are exactly those that
         # can narrow and read that edge, each once, and the first queue is
-        # every context that can narrow; in the chain every edge's reverse is
-        # positive too, so each path there is grown both ways
+        # every syllogism that can narrow
         for kb in (list(random_numeric_kbs(2))[1], parse_kb(chain_kb(6))):
-            graph = network._Graph(network._domain(kb))
-            names = graph.domain.names
+            domain = network._domain(kb)
+            names = domain.names
             nodes = range(len(names))
-            positive = {(u, v) for u, v in itertools.permutations(nodes, 2)
-                        if kb.interval(names[u], names[v]).lo > 0}
             informative = {(u, v) for u, v in itertools.permutations(nodes, 2)
                            if kb.interval(names[u], names[v]) != qualalg.FULL}
             near = informative | {pair[::-1] for pair in informative}
-            assert 0 < len(positive) < len(near) < len(nodes) * (len(nodes) - 1)
+            assert 0 < len(near) < len(nodes) * (len(nodes) - 1)
             triples = {t for t in itertools.permutations(nodes, 3) if {t[:2], t[1:]} <= near}
-            rotations = {
-                seq for k in (3, 4) for seq in itertools.permutations(nodes, k)
-                if set(zip(seq, seq[1:])) <= positive or set(zip(seq[1:], seq)) <= positive
-            }
-            assert distinct(graph.triples()) == triples
-            assert distinct(graph.rotations()) == rotations
-            for pair in itertools.permutations(nodes, 2):
+            assert distinct(domain.triples()) == triples
+            for pair in near:  # the engine asks only about an edge that has just narrowed
                 edge = {pair, pair[::-1]}
-                if pair in near:  # the engine asks only about an edge that has just narrowed
-                    assert distinct(graph.triples(pair)) == {
-                        t for t in triples if edge & {t[:2], t[1::-1], t[1:], t[:0:-1]}
-                    }
-                assert distinct(graph.rotations(pair)) == {
-                    seq for seq in rotations if pair in read_by(seq)
+                assert distinct(domain.triples(pair)) == {
+                    t for t in triples if edge & {t[:2], t[1::-1], t[1:], t[:0:-1]}
                 }
 
-    def test_rotations_listed_again_only_when_they_can_be_new(self, monkeypatch):
-        # until the first rotation is taken, every rotation that can narrow is
-        # still queued, so a narrowing lists rotations again only when it has
-        # just made its edge positive
-        state = {"taken": False, "turned": None, "listed": 0}
-        add, rotations = network._Graph.add, network._Graph.rotations
-        cycle = network._Intervals.cycle
-
-        def traced_add(graph, u, v):
-            before = v in graph.succ[u]
-            result = add(graph, u, v)
-            state["turned"] = (u, v) if v in graph.succ[u] and not before else None
-            return result
-
-        def traced_rotations(graph, pair=None):
-            if pair is not None and not state["taken"]:
-                assert pair == state["turned"], pair
-                state["listed"] += 1
-            return rotations(graph, pair)
-
-        def traced_cycle(domain, context):
-            state["taken"] = True
-            return cycle(domain, context)
-
-        monkeypatch.setattr(network._Graph, "add", traced_add)
-        monkeypatch.setattr(network._Graph, "rotations", traced_rotations)
-        monkeypatch.setattr(network._Intervals, "cycle", traced_cycle)
-        for kb in (parse_kb(chain_kb(12)), *random_numeric_kbs(5)):
-            state.update(taken=False, turned=None)
-            saturate(kb)
-        assert state["listed"] > 0
+    def test_ratio_bounds_stay_closed(self, monkeypatch):
+        # the ratio bounds that saturation relaxes as edges narrow are those
+        # of one Floyd-Warshall pass over the edges it ends with
+        domains = []
+        make = network._domain
+        monkeypatch.setattr(network, "_domain", lambda kb: domains.append(make(kb)) or domains[-1])
+        kbs = [*random_numeric_kbs(4), parse_kb(chain_kb(12)), parse_kb(CHAIN16),
+               parse_kb(STUDENTS_NUMERIC), parse_kb(STUDENTS_KB9, "qualitative"),
+               *labelled_kbs(qualalg.scale7())]
+        moved = 0
+        for kb in kbs:
+            sat, trace = saturate(kb)
+            kept, fresh = domains[-1], make(sat)
+            fresh.close()
+            moved += len(trace)
+            assert kept.ratio_att == fresh.ratio_att
+            for got, want in zip(kept.ratio, fresh.ratio):
+                assert got == want or got == pytest.approx(want, rel=1e-12), (got, want)
+        assert moved > 100
 
     def test_independent_of_the_queue_order(self, monkeypatch):
         # the fixpoint does not depend on the order of application; in numeric
@@ -653,38 +626,37 @@ class TestWorklist:
     @staticmethod
     @contextlib.contextmanager
     def _count_rule_calls(monkeypatch):
-        """Count the calls of the numeric closed forms, each of which must be called."""
-        names = ("syllogism_lower", "bayes_cycle")
+        """Count the calls of `syllogism_lower` and of the cycle rule, each of which must be called."""
         calls: collections.Counter = collections.Counter()
-        for name in names:
-            rule = getattr(network, name)
+        for owner, name in ((network, "syllogism_lower"), (network._Store, "bayes")):
+            rule = getattr(owner, name)
 
             def counted(*args, rule=rule, name=name):
                 calls[name] += 1
                 return rule(*args)
 
-            monkeypatch.setattr(network, name, counted)
+            monkeypatch.setattr(owner, name, counted)
         yield calls
-        assert all(calls[name] > 0 for name in names), calls
+        assert calls["syllogism_lower"] > 0 and calls["bayes"] > 0, calls
 
     def test_applies_only_contexts_that_can_narrow(self, monkeypatch):
         # sweeping every context until nothing changes takes 10,080
-        # syllogism and 94,080 cycle-rule calls on this KB
+        # syllogism calls on this KB, and 240 cycle-rule calls a sweep
         with self._count_rule_calls(monkeypatch) as calls:
             sat, trace = saturate(parse_kb(CHAIN16))
         assert len(trace) > 10
         assert calls["syllogism_lower"] < 1000
-        assert calls["bayes_cycle"] < 1000
+        assert calls["bayes"] < 1000
         assert_fixpoint(sat)
 
     def test_64_class_chain(self, monkeypatch):
-        # 64 classes have about 1.9 M simple cycles of up to four nodes,
-        # but few of them run along edges with positive lower bounds
+        # 64 classes have about 1.9 M simple cycles of up to four nodes; the
+        # cycle rule tries each of the 4,032 ordered pairs about once
         with self._count_rule_calls(monkeypatch) as calls:
             sat, _ = saturate(parse_kb(chain_kb(64)))
         assert sat.interval("c0", "c2").lo > 0.1
         assert calls["syllogism_lower"] < 5000
-        assert calls["bayes_cycle"] < 5000
+        assert calls["bayes"] < 5000
 
     @pytest.mark.parametrize("mode", ["numeric", "qualitative"])
     def test_independent_of_the_statement_order(self, mode):
@@ -734,6 +706,96 @@ class TestWorklist:
         assert outputs[0] == outputs[1]
 
 
+# a ring of five classes, each pair of neighbours stated both ways, of one
+# random distribution: only the cycle through all five narrows P(c4|c0)
+RING5_NUMERIC = SCALE7 + """\
+n c0 c1 0.469 0.519
+n c1 c0 0.788 0.848
+n c1 c2 0.841 0.886
+n c2 c1 0.426 0.456
+n c2 c3 0.37 0.442
+n c3 c2 0.763 0.819
+n c3 c4 0.347 0.348
+n c4 c3 0.507 0.595
+n c4 c0 0.165 0.2
+n c0 c4 0.024 0.116
+"""
+
+# the 3- and 4-class cycles show that P(c2|c3) is positive; the cycle
+# c2, c1, c0, c4, c3 shows that it is at least 0.2
+RING5_QUALITATIVE = SCALE7 + """\
+q c0 c1 most most
+q c1 c0 most most
+q c1 c2 most al-all
+q c2 c1 most most
+q c2 c3 most most
+q c3 c4 al-all all
+q c4 c3 most al-all
+q c4 c0 al-all al-all
+q c0 c4 al-all al-all
+"""
+
+
+def certified(kb: KnowledgeBase, frm: str, to: str) -> tuple[float, float]:
+    """`certified_range` of P(to|frm) under the KB's statements."""
+    masks = dict(zip(kb.nodes, class_masks(len(kb.nodes))))
+    cons = [(masks[t], masks[f], e.interval) for (f, t), e in kb.edges.items()]
+    return certified_range(cons, (masks[to], masks[frm]))
+
+
+def shown_ends(kb: KnowledgeBase, shown: str) -> tuple:
+    """The ends of a value as a trace step shows it: floats, or the numbers of its labels."""
+    if kb.mode == "numeric":
+        return tuple(float(end) for end in shown.strip("[]").split(", "))
+    q = {kb.partition.name_of(q): q for q in all_ranges(kb.partition)}[shown]
+    return q.low, q.high
+
+
+class TestCycleClosure:
+    def test_five_class_cycle_numeric(self):
+        kb = parse_kb(RING5_NUMERIC)
+        sat, trace = saturate(kb)
+        assert {len(step.context) for step in trace if step.edge == ("c0", "c4")} == {5}
+        lo, hi = certified(kb, "c0", "c4")
+        got = sat.interval("c0", "c4")
+        assert contains_interval(got, I(lo, hi), tol=1e-9)
+        assert (got.lo, got.hi) == pytest.approx((lo, hi), abs=1e-6)
+
+    def test_five_class_cycle_qualitative(self):
+        kb = parse_kb(RING5_QUALITATIVE, "qualitative")
+        sat, trace = saturate(kb)
+        assert [len(step.context) for step in trace if step.edge == ("c3", "c2")] == [5]
+        p = kb.partition
+        lp = I(*certified(kb, "c3", "c2"))
+        assert sat.qual("c3", "c2") == p.approximate(lp) == p.range_of("few", "all")
+
+    def test_each_cycle_step_explains_itself(self):
+        # the rotation a cycle step names, read at the fixpoint, moves each
+        # end that the step moved at least as far (numeric steps show three
+        # decimals)
+        steps = 0
+        rings = parse_kb(RING5_NUMERIC), parse_kb(RING5_QUALITATIVE, "qualitative")
+        for kb in (*_fixpoint_cases(), *rings):
+            sat, trace = saturate(kb)
+            domain = network._domain(sat)
+            for step in trace:
+                if step.phase == "syllogism":
+                    continue
+                steps += 1
+                target, candidate = rotation_candidate(domain, [domain.index[x] for x in step.context])
+                assert domain.pair(target) == step.edge
+                if kb.mode == "numeric":
+                    got, tol = (candidate[0], candidate[2]), 5e-4
+                else:
+                    q = kb.partition._approximate(*candidate)
+                    got, tol = (q.low, q.high), 0
+                before_lo, before_hi = shown_ends(kb, step.before)
+                lo, hi = shown_ends(kb, step.after)
+                assert lo == before_lo or got[0] >= lo - tol, step
+                assert hi == before_hi or got[1] <= hi + tol, step
+        assert steps > 100
+
+
 class TestGBT:
     def test_all_certain_cycle(self, p7):
         kb = KnowledgeBase(p7, "qualitative")
@@ -771,7 +833,7 @@ class TestGBT:
         domain = network._domain(sat)
         for cycle in simple_cycles(range(domain.n), 4):
             for seq in cycle_rotations(cycle):
-                assert domain.narrow(*domain.cycle(seq)) is network._SAME
+                assert domain.narrow(*rotation_candidate(domain, seq)) is network._SAME
 
     @pytest.mark.parametrize("scale", ["p5", "p7", "p9"])
     def test_never_looser_than_the_stepwise_algebra_and_sound_pointwise(self, scale, request):
