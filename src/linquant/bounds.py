@@ -115,8 +115,8 @@ def bayes_cycle(
         P(A1|Ak) = P(Ak|A1) . prod_i P(Ai|Ai+1) / P(Ai+1|Ai)
 
     gives one bound per side, each product taken left to right, clipped to
-    [0, 1]; a zero denominator leaves that side vacuous.  Meeting the pair
-    with the edge's current range is the caller's step.
+    [0, 1]; a zero denominator leaves that side vacuous.  The tests hold
+    saturation's ratio closure (`network._Store.bayes`) to this rule.
     """
     if len(backward_lo) != len(forward_lo) - 1 or not backward_lo:
         raise ValueError("a cycle needs k >= 2 forward edges and k - 1 backward edges")

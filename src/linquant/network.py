@@ -586,8 +586,8 @@ def gbt_qualitative(forward: list[Flagged], backward: list[Flagged]) -> Flagged:
     P(A1|Ak) the value set
     quotient(P(Ak|A1) . P(A1|A2) .. P(Ak-1|Ak), P(A2|A1) .. P(Ak|Ak-1))
     (`qualalg.product` and `qualalg.quotient`), or the full hull when the
-    denominator is identically 0, as `bayes_cycle` does.  It does not read
-    P(A1|Ak) itself, and it leaves the approximation to the caller.
+    denominator is identically 0, as `bayes_cycle` does.  It reads no
+    P(A1|Ak) and does not approximate; the tests hold `_Store.bayes` to it.
     """
     num = reduce(qualalg.product, forward[-1:] + forward[:-1])  # P(Ak|A1) first
     den = reduce(qualalg.product, backward)
