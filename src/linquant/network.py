@@ -9,16 +9,16 @@ only propose: each reads the edges of its context, never its target, and
 returns a candidate for the target.  The domain's `narrow` alone meets the
 candidate into the edge, and an empty meet raises `ContradictionError`.
 `_constrain` alone writes an edge of `kb.edges`: a narrowed value reaches it
-as a statement (`statement`), met in as a stated line is.  Numeric mode
-stops where a bound moves by at most 1e-9, so floating point terminates; a
-stated label range narrows with its edge's interval.  Qualitative mode
-approximates each candidate once, in `narrow`, and its lattice of ranges is
-finite.  What a label means is the scale's business: two label ranges with
-no common label are no clash when `Partition.touch` finds a value they
-share, so a statement keeps the upper range and `narrow` keeps the current
-one, and `Partition.restrict` narrows a stated range to an edge's interval.
-A self edge stores nothing: P(a|a) = 1, so a statement on one is a clash
-when it excludes 1, as `al-all` does.
+as a statement (`statement`), met in as a stated line is.  Every meet is
+`qualalg.intersection`, of the value sets of two flagged hulls.  Numeric
+mode stops where a bound moves by at most 1e-9, so floating point
+terminates; a stated label range narrows with its edge's interval.
+Qualitative mode approximates a meet once, in `narrow`, when it moved the
+hull, and its lattice of ranges is finite.  Two label ranges with no common
+label that share a value are no clash: a statement keeps the upper range,
+and `narrow` the current one.  `Partition.restrict` narrows a stated range
+to an edge's interval.  A self edge stores nothing: P(a|a) = 1, so a
+statement on one is a clash when it excludes 1, as `al-all` does.
 
 Saturation is index-addressed.  `saturate` numbers the KB's nodes once, in
 sorted order, and works on those numbers.  In both modes the store keeps
@@ -174,7 +174,7 @@ def _constrain(
     """Meet a statement into the edge frm -> to: the one code that writes an edge.
 
     A stated range keeps the labels of the edge's interval (`Partition.restrict`);
-    of two that touch at a threshold, the upper one stays.  A self edge must allow 1.
+    of two that share only a threshold, the upper one stays.  A self edge must allow 1.
     """
     p = kb.partition
 
@@ -187,19 +187,17 @@ def _constrain(
         return
     old = kb.edges.get((frm, to))
     if old is not None:
-        common = old.interval.intersect(interval)
+        common = qualalg.intersection(old.interval.flagged(), interval.flagged())
         if common is None:
             raise clash(old.interval, interval)
-        interval = common
+        interval = ProbInterval(common[0], common[2])
         if qual is None:
             qual = old.qual
         elif old.qual is not None:
-            met = qualalg.meet(qual, old.qual)
-            if met is None:
-                if not p.touch(qual, old.qual):
-                    raise clash(p.name_of(old.qual), p.name_of(qual))
-                met = max(qual, old.qual, key=lambda q: q.low)
-            qual = met
+            met = qualalg.meet(qual, old.qual)  # with no label in common, do they share a value?
+            if not met and not qualalg.intersection(*map(p.flagged_semantics, (old.qual, qual))):
+                raise clash(p.name_of(old.qual), p.name_of(qual))
+            qual = met or max(qual, old.qual, key=lambda q: q.low)
     if qual is not None:
         stated = p.restrict(qual, interval)
         if stated is None:
@@ -259,10 +257,11 @@ class _Store:
     flat lists at its index, in both modes; self edges hold P(a|a) = 1.
     `load` copies an edge in from `kb.edges`, the store of record, through
     the mode's `flagged`; an informative edge puts each end in the other's
-    `near`, a dict of classes in class-number order.  `close` adds,
-    at index x*n+y, a flagged upper bound on P(y)/P(x) over paths of every
-    length, and `hop`, the class after x on its path; inf is no bound when
-    attained, and finite but unknown when open.  `relax` keeps them closed.
+    `near`, a dict of classes in the order their edges were entered.
+    `close` adds, at index x*n+y, a flagged upper bound on P(y)/P(x) over
+    paths of every length, and `hop`, the class after x on its path; inf is
+    no bound when attained, and finite but unknown when open.  `relax` keeps
+    them closed.
     """
 
     def __init__(self, kb: KnowledgeBase):
@@ -415,35 +414,34 @@ class _Store:
             path.append(self.hop[path[-1] * self.n + y])
         return path
 
+    @staticmethod
+    def show_candidate(candidate: Flagged) -> str:
+        """A candidate's hull at 6 decimals, an open end in a round bracket."""
+        lo, lo_att, hi, hi_att = candidate
+        return f"{'[' if lo_att else '('}{lo:.6f}, {hi:.6f}{']' if hi_att else ')'}"
+
 
 class _Intervals(_Store):
     """Numeric mode: an edge attains both ends of its interval.
 
-    A move of at most `_EPS` is no change.  A candidate is a flagged hull,
-    read by its two ends, inverted by at most rounding (lo <= hi + 1e-12).
+    A move of at most `_EPS` is no change.  A candidate is a flagged hull
+    that attains both ends, inverted by at most rounding (lo <= hi + 1e-12).
     """
 
     cycle_phase = "bayes"
     show = str
-    show_candidate = "[{0[0]:.6f}, {0[2]:.6f}]".format
 
     def flagged(self, pair: tuple[str, str]) -> Flagged:
-        ival = self.kb.interval(*pair)
-        return ival.lo, True, ival.hi, True
+        return self.kb.interval(*pair).flagged()
 
     def value(self, e: int) -> ProbInterval:
         return ProbInterval(self.lo[e], self.hi[e])
 
     def narrow(self, e: int, candidate: Flagged):
-        old_lo, old_hi = self.lo[e], self.hi[e]
-        lo = candidate[0] if candidate[0] > old_lo else old_lo  # the meet, without max and min
-        hi = candidate[2] if candidate[2] < old_hi else old_hi
-        if lo > hi + TOL:
-            return None
-        hi = hi if hi > lo else lo
-        if lo - old_lo <= _EPS and old_hi - hi <= _EPS:
+        if candidate[0] - self.lo[e] <= _EPS and self.hi[e] - candidate[2] <= _EPS:
             return _SAME
-        return ProbInterval(lo, hi)
+        new = qualalg.intersection((self.lo[e], True, self.hi[e], True), candidate)
+        return new and ProbInterval(new[0], new[2])
 
     @staticmethod
     def statement(new: ProbInterval) -> tuple[ProbInterval, None]:
@@ -453,10 +451,10 @@ class _Intervals(_Store):
 class _Labels(_Store):
     """Qualitative mode: an edge holds the flagged hull of its label range.
 
-    A candidate is a flagged hull, which `narrow` approximates once; an
-    edge's label range is the approximation of its hull, which inverts
-    `flagged_semantics` exactly.  The lattice of ranges is finite, so
-    equality ends it.
+    `narrow` meets a candidate with the edge's hull and approximates the
+    meet once, when the hull moved; an edge's label range is the
+    approximation of its hull, which inverts `flagged_semantics` exactly.
+    The lattice of ranges is finite, so equality ends it.
     """
 
     cycle_phase = "gbt"
@@ -474,14 +472,16 @@ class _Labels(_Store):
         return self.approximate(self.lo[e], self.lo_att[e], self.hi[e], self.hi_att[e])
 
     def show_candidate(self, candidate: Flagged) -> str:
-        return self.show(self.approximate(*candidate))
+        return f"{self.show(self.approximate(*candidate))} {_Store.show_candidate(candidate)}"
 
     def narrow(self, e: int, candidate: Flagged):
-        old, proposed = self.value(e), self.approximate(*candidate)
-        new = qualalg.meet(old, proposed)
-        if new is None:  # no common label: consistent only on a threshold where both touch
-            return _SAME if self.partition.touch(old, proposed) else None
-        return _SAME if new == old else new
+        hull = self.lo[e], self.lo_att[e], self.hi[e], self.hi_att[e]
+        common = qualalg.intersection(hull, candidate)
+        if common is None or common == hull:  # a clash, or the hull did not move
+            return common and _SAME
+        old = self.value(e)
+        new = qualalg.meet(old, self.approximate(*common))
+        return _SAME if new in (None, old) else new  # None: `common` is a threshold point old holds
 
     def statement(self, new: QRange) -> tuple[ProbInterval, QRange]:
         return self.partition.semantics(new), new

@@ -12,10 +12,10 @@ covering run.  Endpoint attainability matters here: the hull of (0, t1]
 starts at 0, but 0 itself is not a value of that label, so a product such
 as few * few must come out as few, not [none, few].  `product` and
 `quotient` track exactly this, on flagged hulls (lo, lo attained, hi, hi
-attained); `qmul` and `qdiv` approximate what they return, and a chain of
-them can be approximated once at its end.  `Partition` is the one table
-of these meanings: the rest of the package asks it, and does no threshold
-arithmetic of its own.
+attained), and `intersection` meets two of them; `qmul` and `qdiv`
+approximate what they return, and a chain of them can be approximated once
+at its end.  `Partition` is the one table of these meanings: the rest of
+the package asks it, and does no threshold arithmetic of its own.
 """
 
 from __future__ import annotations
@@ -111,12 +111,8 @@ class ProbInterval(Value):
     def contains(self, x: float, tol: float = TOL) -> bool:
         return self.lo - tol <= x <= self.hi + tol
 
-    def intersect(self, other: "ProbInterval", tol: float = TOL) -> "ProbInterval | None":
-        lo = max(self.lo, other.lo)
-        hi = min(self.hi, other.hi)
-        if lo > hi + tol:
-            return None
-        return ProbInterval(lo, max(lo, hi))
+    def flagged(self) -> Flagged:
+        return self.lo, True, self.hi, True
 
     def __str__(self) -> str:
         return f"[{self.lo:.3f}, {self.hi:.3f}]"
@@ -264,17 +260,6 @@ class Partition:
             low = high
         return QRange(low, high)
 
-    def touch(self, q1: QRange, q2: QRange) -> bool:
-        """Whether two ranges with no common label share a value.
-
-        They do exactly when they are adjacent and both attain their shared
-        end (`flagged_semantics`): interior labels are closed at thresholds,
-        while the first and last interior labels are open at 0 and 1.
-        """
-        below, above = sorted((q1, q2), key=lambda q: q.low)
-        attained = self.flagged_semantics(below)[3] and self.flagged_semantics(above)[1]
-        return below.high + 1 == above.low and attained
-
     def restrict(self, q: QRange, i: ProbInterval) -> QRange | None:
         """The labels of q consistent with the interval i, which lies in q's hull.
 
@@ -351,6 +336,21 @@ def quotient(f1: Flagged, f2: Flagged) -> Flagged:
         if hi > 1 + TOL:
             hi, hi_att = 1.0, True  # values beyond 1 exist and truncate onto 1
     return lo, lo_att, min(hi, 1.0), hi_att
+
+
+def intersection(f1: Flagged, f2: Flagged) -> Flagged | None:
+    """The value set shared by two flagged hulls; None when they share none.
+
+    An end both share is attained only if both attain it.  Ends that cross
+    by at most TOL leave the point lo, and a set left within TOL of an open
+    end is empty.
+    """
+    (a1, a1_att, b1, b1_att), (a2, a2_att, b2, b2_att) = f1, f2
+    lo, lo_att = (a1, a1_att and (a1 != a2 or a2_att)) if a1 >= a2 else (a2, a2_att)
+    hi, hi_att = (b1, b1_att and (b1 != b2 or b2_att)) if b1 <= b2 else (b2, b2_att)
+    if lo > hi + TOL or not lo_att and hi <= lo + TOL or not hi_att and lo >= hi - TOL:
+        return None
+    return lo, lo_att, max(lo, hi), hi_att
 
 
 # -- partition-independent QRange ops ---------------------------------------

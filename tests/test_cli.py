@@ -160,9 +160,9 @@ def test_propagate_tiny_lower_bounds(tmp_path, capsys, mode):
     assert "a -> b" in capsys.readouterr().out
 
 
-# P(c2|c1) = none while P(c1|c2) is positive bounds P(c2)/P(c1) by 0, and
-# P(c2|c3) = [most, all] bounds P(c3)/P(c2), so P(c3|c1) must be 0, which the
-# stated [few, most] excludes; numeric mode finds a clash by a syllogism
+# P(c1|c2) is positive, and P(c3|c1) >= 0.2 and P(c2|c3) >= 0.6 bound
+# P(c1)/P(c2) through c3, so P(c2|c1) = P(c1|c2) . P(c2)/P(c1) is positive,
+# which the stated none excludes; numeric mode finds a clash by a syllogism
 CYCLE_CLASH_QUALITATIVE = SCALE7 + """\
 n c2 c1 0.1 0.9
 q c1 c3 few most
@@ -173,7 +173,7 @@ q c3 c2 most all
 
 CYCLE_CLASH_MESSAGES = {
     "numeric": "syllogism (c3, c1, c2) empties edge c3 -> c2: [0.600, 1.000] meets [0.000000, 0.000000]",
-    "qualitative": "gbt (c3, c2, c1) empties edge c1 -> c3: [few, most] meets none",
+    "qualitative": "gbt (c2, c3, c1) empties edge c1 -> c2: none meets [al-none, all] (0.000000, 1.000000]",
 }
 
 

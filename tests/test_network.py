@@ -91,6 +91,13 @@ class TestIngest:
         assert labels.narrow(labels.edge("a", "b"), most) is network._SAME
         assert labels.narrow(labels.edge("b", "a"), half) is network._SAME
 
+    def test_derived_range_meets_the_edge_by_value_sets(self, p7):
+        # few is [0.2, 0.4]: a candidate from 0.41 shares no value with it,
+        # though its approximation, half, touches few at 0.4; one from 0.4 does
+        labels = network._domain(parse_kb(SCALE7 + "q a b few\n", "qualitative"))
+        assert labels.narrow(labels.edge("a", "b"), (0.41, True, 0.5, True)) is None
+        assert labels.narrow(labels.edge("a", "b"), (0.4, True, 0.5, True)) is network._SAME
+
     @pytest.mark.parametrize("lines", [
         ["q a b none", "q a b al-none"],
         ["q a b al-all", "q a b all"],
@@ -290,8 +297,10 @@ def test_stated_range_agrees_with_its_interval(mode):
 def test_a_statement_never_widens_a_numeric_interval():
     # numeric saturation is monotone: one more statement on a KB that stays
     # consistent keeps every saturated interval inside its old one, up to the
-    # 1e-9 stop of each run.  Qualitative mode is not held to this: a label
-    # range that only touches its edge at a threshold leaves the edge as it was.
+    # 1e-9 stop of each run.  Qualitative mode is not held to this: a point
+    # on a threshold lies in the labels either side, and a range narrowed to
+    # one keeps only one of them, which can lie outside the range that
+    # saturation gave without the statement.
     rng = random.Random(5)
     checked = 0
     for _ in range(2000):
@@ -308,6 +317,28 @@ def test_a_statement_never_widens_a_numeric_interval():
             old, new = before.interval(*pair), after.interval(*pair)
             assert new.lo >= old.lo - 1e-8 and new.hi <= old.hi + 1e-8, (text, extra, pair)
     assert checked > 1000
+
+
+# P(c2|c3) is stated from 0.41, while the syllogism through c0 caps it at
+# 0.357; no distribution gives c0, c2 or c3 mass.  On the label scale the
+# stated [half, v-many] and the candidate [none, few] touch at 0.4 by name,
+# but the candidate's value set ends at 0.385
+EMPTY_MEET_KB = """\
+@partition 0.1 0.2 0.4 0.6 0.8 0.9
+@labels none al-none v-few few half most v-many al-all all
+q c2 c3 al-none all
+n c3 c2 0.4101674544646118 0.8206003996301467
+q c1 c0 none most
+n c0 c3 0.6498814957384126 0.7038076859070301
+n c0 c2 0.0 0.2
+n c2 c0 0.8 0.9
+"""
+
+
+@pytest.mark.parametrize("mode", ["numeric", "qualitative"])
+def test_clash_of_value_sets_whose_labels_touch(mode):
+    with pytest.raises(ContradictionError, match=r"^syllogism \(c3, c0, c2\) empties edge c3 -> c2"):
+        saturate(parse_kb(EMPTY_MEET_KB, mode))
 
 
 def _stated_by_form(p, frm: str, to: str, v: Fraction, form: int) -> str:

@@ -333,12 +333,12 @@ class TestGalois:
                 assert_minimal(p, ProbInterval(a, b))
 
 
-def _share(s, t) -> bool:
-    """Whether two value sets have a common value."""
+def _common(s, t):
+    """The values two value sets share, as a value set, or None when they share none."""
     lo, hi = max(s[0], t[0]), min(s[2], t[2])
     lo_closed = all(closed for end, closed in (s[:2], t[:2]) if end == lo)
     hi_closed = all(closed for end, closed in (s[2:], t[2:]) if end == hi)
-    return lo < hi or lo == hi and lo_closed and hi_closed
+    return (lo, lo_closed, hi, hi_closed) if lo < hi or lo == hi and lo_closed and hi_closed else None
 
 
 def _symmetric_scales():
@@ -356,15 +356,39 @@ def _symmetric_scales():
 
 @pytest.mark.parametrize("p", list(_symmetric_scales()), ids=lambda p: f"{p.n_labels}-{p.thresholds}")
 def test_touch_and_certainty_by_value_sets(p):
-    # `touch` and `covers(q, [1, 1])` against value sets built from the
-    # thresholds alone, never from `Partition`'s own tables
+    # whether two ranges with no common label share a value (`intersection`
+    # of their flagged hulls), and `covers(q, [1, 1])`, against value sets
+    # built from the thresholds alone, never from `Partition`'s own tables
     ranges = list(all_ranges(p))
     for q in ranges:
         assert p.covers(q, ProbInterval(1.0, 1.0)) == holds(value_set(p, q), 1.0), q
     disjoint = [(q, r) for q in ranges for r in ranges if meet(q, r) is None]
     assert disjoint
     for q, r in disjoint:
-        assert p.touch(q, r) == _share(value_set(p, q), value_set(p, r)), (q, r)
+        shared = qualalg.intersection(p.flagged_semantics(q), p.flagged_semantics(r))
+        assert (shared is None) == (_common(value_set(p, q), value_set(p, r)) is None), (q, r)
+
+
+@pytest.mark.parametrize("p", list(_symmetric_scales()), ids=lambda p: f"{p.n_labels}-{p.thresholds}")
+def test_intersection_of_ranges_is_that_of_their_value_sets(p):
+    for q, r in itertools.product(all_ranges(p), repeat=2):
+        shared = qualalg.intersection(p.flagged_semantics(q), p.flagged_semantics(r))
+        assert shared == _common(value_set(p, q), value_set(p, r)), (q, r)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(
+    ends=st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4),
+    gap=st.sampled_from([None, -3e-9, -1e-9, -5e-10, 0.0, 5e-10, 1e-9, 3e-9]),
+)
+def test_intersection_of_closed_hulls_is_the_float_meet(ends, gap):
+    # given a gap, the second hull starts that far above the end of the first
+    (a, b), (c, d) = sorted(ends[:2]), sorted(ends[2:])
+    if gap is not None:
+        c, d = b + gap, max(d, b + gap)
+    lo, hi = max(a, c), min(b, d)
+    expected = None if lo > hi + qualalg.TOL else (lo, True, max(lo, hi), True)
+    assert qualalg.intersection((a, True, b, True), (c, True, d, True)) == expected
 
 
 # hypothesis strategies over symmetric partitions
