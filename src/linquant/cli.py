@@ -101,12 +101,13 @@ def cmd_robustness(args) -> int:
     from . import tables
 
     report = tables.robustness_sweep(*args.alpha, args.reference)
+    alphas = report.alpha_values
+    # the fewest decimals, at least 4, that keep the swept alphas apart (they are rounded to 12)
+    places = next(d for d in range(4, 13) if len({f"{a:.{d}f}" for a in alphas}) == len(set(alphas)))
     payload = {
         "reference_alpha": report.reference_alpha,
-        "alpha_values": list(report.alpha_values),
-        "changes_per_alpha": {
-            f"{a:.4f}": len(report.changed_per_alpha[a]) for a in report.alpha_values
-        },
+        "alpha_values": list(alphas),
+        "changes_per_alpha": {f"{a:.{places}f}": len(report.changed_per_alpha[a]) for a in alphas},
         "distinct_changed_tuples": report.distinct_count,
         "changed_tuples": [list(k) for k in report.changed_distinct],
         "half_product_flip_alphas": report.half_product_flip_alphas,

@@ -10,15 +10,18 @@ returns a candidate for the target.  The domain's `narrow` alone meets the
 candidate into the edge, and an empty meet raises `ContradictionError`.
 `_constrain` alone writes an edge of `kb.edges`: a narrowed value reaches it
 as a statement (`statement`), met in as a stated line is.  Every meet is
-`qualalg.intersection`, of the value sets of two flagged hulls.  Numeric
-mode stops where a bound moves by at most 1e-9, so floating point
-terminates; a stated label range narrows with its edge's interval.
-Qualitative mode approximates a meet once, in `narrow`, when it moved the
-hull, and its lattice of ranges is finite.  Two label ranges with no common
-label that share a value are no clash: a statement keeps the upper range,
-and `narrow` the current one.  `Partition.restrict` narrows a stated range
-to an edge's interval.  A self edge stores nothing: P(a|a) = 1, so a
-statement on one is a clash when it excludes 1, as `al-all` does.
+`qualalg.intersection`, of the value sets of two flagged hulls, and an
+empty meet is the one clash.  In `_constrain` one value set is the edge's
+and one the statement's: an interval, or where a label range is stated,
+the part of the interval in the range's values.  A self edge stores
+nothing: it holds P(a|a) = 1, so a statement on one is a clash when it
+excludes 1, as `al-all` does.  A stated label range keeps the labels that
+the meet leaves (`Partition.restrict`).  Numeric mode stops where a bound
+moves by at most 1e-9, so floating point terminates.  Qualitative mode
+approximates a meet once, in `narrow`, when it moved the hull, and its
+lattice of ranges is finite.  Two label ranges with no common label that
+share a value, a threshold, are no clash: a statement keeps the upper
+range, and `narrow` the current one.
 
 Saturation is index-addressed.  `saturate` numbers the KB's nodes once, in
 sorted order, and works on those numbers.  In both modes the store keeps
@@ -123,12 +126,8 @@ class KnowledgeBase(Value):
         p = self.partition
         if frm == to:
             return QRange(p.top, p.top)
-        edge = self.edges.get((frm, to))
-        if edge is None:
-            return p.full_range()
-        if edge.qual is not None:
-            return edge.qual
-        return p.approximate(edge.interval)
+        edge = self.edges.get((frm, to), _VACUOUS)
+        return p.approximate(edge.interval) if edge.qual is None else edge.qual
 
     def copy(self) -> "KnowledgeBase":
         return KnowledgeBase(self.partition, self.mode, self.nodes, self.edges, self.queries)
@@ -173,36 +172,37 @@ def _constrain(
 ) -> None:
     """Meet a statement into the edge frm -> to: the one code that writes an edge.
 
-    A stated range keeps the labels of the edge's interval (`Partition.restrict`);
-    of two that share only a threshold, the upper one stays.  A self edge must allow 1.
+    The edge and the statement each hold a value set: an interval, or where a
+    label range is stated, the part of it in the range's values
+    (`flagged_semantics`).  One `qualalg.intersection` meets the two, and an
+    empty meet is a clash.  A self edge holds P(a|a) = 1 and stores nothing.
+    Two ranges that share labels keep those labels, and two that share only a
+    threshold the upper one; the range kept holds the labels the meet leaves
+    (`Partition.restrict`).
     """
     p = kb.partition
-
-    def clash(was, new) -> ContradictionError:
-        return ContradictionError(f"contradiction on edge {frm} -> {to}: {was} vs {new}")
-
-    if frm == to:
-        if not interval.contains(1.0) or qual is not None and not p.covers(qual, _CERTAIN):
+    old = Edge(_CERTAIN) if frm == to else kb.edges.get((frm, to), _VACUOUS)
+    was = old.interval.flagged()
+    if old.qual is not None:  # the edge's interval lies in its range's hull
+        lo, lo_att, hi, hi_att = p.flagged_semantics(old.qual)
+        was = was[0], was[0] != lo or lo_att, was[2], was[2] != hi or hi_att
+    common = qualalg.intersection(was, interval.flagged() if qual is None else p.flagged_semantics(qual))
+    if common is None:
+        if frm == to:
             raise ContradictionError(f"self edge {frm} must be certain")
+        old_shown = old.interval if old.qual is None else p.name_of(old.qual)
+        new_shown = interval if qual is None else p.name_of(qual)
+        raise ContradictionError(f"contradiction on edge {frm} -> {to}: {old_shown} vs {new_shown}")
+    if frm == to:
         return
-    old = kb.edges.get((frm, to))
-    if old is not None:
-        common = qualalg.intersection(old.interval.flagged(), interval.flagged())
-        if common is None:
-            raise clash(old.interval, interval)
+    if common[0] != interval.lo or common[2] != interval.hi:
         interval = ProbInterval(common[0], common[2])
-        if qual is None:
-            qual = old.qual
-        elif old.qual is not None:
-            met = qualalg.meet(qual, old.qual)  # with no label in common, do they share a value?
-            if not met and not qualalg.intersection(*map(p.flagged_semantics, (old.qual, qual))):
-                raise clash(p.name_of(old.qual), p.name_of(qual))
-            qual = met or max(qual, old.qual, key=lambda q: q.low)
+    if qual is None:
+        qual = old.qual
+    elif old.qual is not None:  # of two ranges that share only a threshold, the upper one
+        qual = qualalg.meet(qual, old.qual) or (qual if qual.low > old.qual.low else old.qual)
     if qual is not None:
-        stated = p.restrict(qual, interval)
-        if stated is None:
-            raise clash(p.name_of(qual), interval)
-        qual = stated
+        qual = p.restrict(qual, common)
     kb.edges[(frm, to)] = Edge(interval, qual)
 
 

@@ -108,9 +108,6 @@ class ProbInterval(Value):
         self.lo = lo
         self.hi = min(max(lo, hi), 1.0)
 
-    def contains(self, x: float, tol: float = TOL) -> bool:
-        return self.lo - tol <= x <= self.hi + tol
-
     def flagged(self) -> Flagged:
         return self.lo, True, self.hi, True
 
@@ -220,17 +217,6 @@ class Partition:
         hi_att = q.high != self.last_interior
         return self._lo[q.low], lo_att, self._hi[q.high], hi_att
 
-    def covers(self, q: QRange, i: ProbInterval) -> bool:
-        """True iff the exact value set of q contains the closed interval i."""
-        lo, lo_att, hi, hi_att = self.flagged_semantics(q)
-        if i.lo < lo - TOL or i.hi > hi + TOL:
-            return False
-        if not lo_att and i.lo <= lo + TOL:
-            return False
-        if not hi_att and i.hi >= hi - TOL:
-            return False
-        return True
-
     # -- approximation -----------------------------------------------------
 
     def approximate(self, i: ProbInterval) -> QRange:
@@ -260,19 +246,14 @@ class Partition:
             low = high
         return QRange(low, high)
 
-    def restrict(self, q: QRange, i: ProbInterval) -> QRange | None:
-        """The labels of q consistent with the interval i, which lies in q's hull.
+    def restrict(self, q: QRange, f: Flagged) -> QRange:
+        """The labels of q that the value set f meets; f lies in q's value set.
 
-        `approximate` puts a point on the threshold just below q in the label
-        below, although q's lowest label contains it too; then that label is
-        the answer.  None when no label of q holds i.
+        `_approximate` puts a point on the threshold just below q in the label
+        below, although q's lowest label holds it too; then that label is the
+        answer.
         """
-        new = meet(q, self.approximate(i))
-        if new is None:
-            new = QRange(q.low, q.low)
-            if not self.covers(new, i):
-                return None
-        return new
+        return meet(q, self._approximate(*f)) or QRange(q.low, q.low)
 
     # -- orderings and lattice ops ------------------------------------------
 

@@ -119,6 +119,23 @@ def contains_interval(outer: ProbInterval, inner: ProbInterval, tol: float = TOL
     return outer.lo - tol <= inner.lo and inner.hi <= outer.hi + tol
 
 
+def contains(i: ProbInterval, x: float, tol: float = TOL) -> bool:
+    """True iff x lies in the closed interval i, widened by tol at each end."""
+    return i.lo - tol <= x <= i.hi + tol
+
+
+def covers(p, q, i: ProbInterval) -> bool:
+    """True iff the exact value set of the label range q contains the closed interval i."""
+    lo, lo_att, hi, hi_att = p.flagged_semantics(q)
+    if i.lo < lo - TOL or i.hi > hi + TOL:
+        return False
+    if not lo_att and i.lo <= lo + TOL:
+        return False
+    if not hi_att and i.hi >= hi - TOL:
+        return False
+    return True
+
+
 def value_set(p, q) -> tuple[float, bool, float, bool]:
     """The exact value set of a label range: (lo, lo closed, hi, hi closed).
 

@@ -41,6 +41,7 @@ from conftest import (
     all_ranges,
     certified_range,
     contains_interval,
+    covers,
     cycle_rotations,
     random_subinterval,
     rotation_candidate,
@@ -201,7 +202,7 @@ def test_c06_seven_label_run():
     for pair, want in expected.items():
         # each pin must be the most specific range any sound method can give
         attainable = kb_oracle_range(before, *pair).interval
-        if not p.covers(want, attainable) or p.approximate(attainable) != want:
+        if not covers(p, want, attainable) or p.approximate(attainable) != want:
             failures.append(
                 f"pin {pair[0]} -> {pair[1]} = {p.name_of(want)} is not the"
                 f" approximation of the LP range {attainable}"

@@ -202,6 +202,15 @@ def test_robustness_report(tmp_path):
     assert payload["distinct_changed_tuples"] == 0
 
 
+def test_robustness_keys_every_swept_alpha(tmp_path):
+    # 51 alphas 1e-5 apart, which 4 decimals would fold into 6 keys
+    out = tmp_path / "rob.json"
+    assert main(["robustness", "--alpha", "0.3:0.3005:0.00001", "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert len(payload["alpha_values"]) == 51
+    assert list(payload["changes_per_alpha"]) == [f"{a:.5f}" for a in payload["alpha_values"]]
+
+
 def test_robustness_flags_product_flip(tmp_path):
     out = tmp_path / "rob.json"
     assert main(["robustness", "--alpha", "0.36:0.40:0.01", "--out", str(out)]) == 0

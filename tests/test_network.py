@@ -33,8 +33,8 @@ from linquant.qualalg import ProbInterval as I
 
 from conftest import (
     SCALE7, STUDENTS_KB7, STUDENTS_KB9, STUDENTS_NUMERIC, all_ranges, certified_range, chain_kb,
-    class_masks, conditionals_of, contains_interval, cycle_rotations, points_of, random_numeric_kbs,
-    rotation_candidate, value_set,
+    class_masks, conditionals_of, contains, contains_interval, covers, cycle_rotations, points_of,
+    random_numeric_kbs, rotation_candidate, value_set,
 )
 
 
@@ -287,7 +287,7 @@ def test_stated_range_agrees_with_its_interval(mode):
                 if edge.qual is None:
                     continue
                 checked += 1
-                assert p.restrict(edge.qual, edge.interval) == edge.qual, (pair, edge)
+                assert p.restrict(edge.qual, edge.interval.flagged()) == edge.qual, (pair, edge)
                 if mode == "qualitative":
                     hull = p.semantics(edge.qual)
                     assert contains_interval(hull, edge.interval, tol=0.0), (pair, edge)
@@ -349,7 +349,7 @@ def _stated_by_form(p, frm: str, to: str, v: Fraction, form: int) -> str:
     if form == 1:
         return f"n {frm} {to} {float(v)} {float(v)}"
     label = p.approximate(point).low  # the label below, for a point on a threshold
-    if form == 3 and label < p.top and p.covers(qualalg.QRange(label + 1, label + 1), point):
+    if form == 3 and label < p.top and covers(p, qualalg.QRange(label + 1, label + 1), point):
         label += 1  # the label above, which contains that point too
     return f"q {frm} {to} {p.labels[label]}"
 
@@ -379,8 +379,8 @@ def test_kb_of_one_distribution_is_consistent(mode, weights, forms):
     ))
     for f, t in pairs:
         v = float(pcond(t, f))
-        assert sat.interval(names[f], names[t]).contains(v, tol=1e-9), (lines, f, t)
-        assert p.semantics(sat.qual(names[f], names[t])).contains(v, tol=1e-9), (lines, f, t)
+        assert contains(sat.interval(names[f], names[t]), v, tol=1e-9), (lines, f, t)
+        assert contains(p.semantics(sat.qual(names[f], names[t])), v, tol=1e-9), (lines, f, t)
 
 
 class TestSaturateQualitative:
@@ -885,7 +885,7 @@ class TestGBT:
                 r = min(1.0, num / den) if den > 0.0 else None
                 # the scale tells no value within TOL of 0 or 1 from that end
                 if r in (0.0, 1.0) or r is not None and qualalg.TOL < r < 1.0 - qualalg.TOL:
-                    assert p.covers(got, I(r, r)), (forward, backward, r)
+                    assert covers(p, got, I(r, r)), (forward, backward, r)
 
     def test_students9_ranges_tightened_by_one_approximation(self):
         # the label algebra stops at [most, al-all] and [half, all]

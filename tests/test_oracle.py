@@ -16,7 +16,7 @@ from linquant.oracle import (
 )
 from linquant.qualalg import ProbInterval as I
 
-from conftest import certified_range, class_masks, conditionals_of
+from conftest import certified_range, class_masks, conditionals_of, contains
 
 
 def sampled_constraints(rng: np.random.Generator, k: int, count: int):
@@ -127,7 +127,7 @@ def test_contains_sampled_value():
         res = solve(k, cons, (frm, to))
         assert res.ok
         pcond = conditionals_of(masses, k)
-        assert res.interval.contains(pcond(to, frm), tol=1e-7)
+        assert contains(res.interval, pcond(to, frm), tol=1e-7)
 
 
 def test_repeated_pair():
@@ -193,7 +193,7 @@ def test_certified_beyond_four_classes(k):
             k, [(event[t], event[f], ival) for f, t, ival in cons], (event[to], event[frm])
         )
         lo, hi = certified(k, cons, (frm, to))
-        assert res.ok and res.interval.contains(conditionals_of(masses, k)(to, frm), tol=1e-7)
+        assert res.ok and contains(res.interval, conditionals_of(masses, k)(to, frm), tol=1e-7)
         assert abs(res.interval.lo - lo) <= 1e-7 and abs(res.interval.hi - hi) <= 1e-7
 
 

@@ -9,8 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linquant import qualalg
+from linquant.network import KnowledgeBase, ingest
 from linquant.qualalg import (
     AsymmetricThresholds,
+    ContradictionError,
     DuplicateLabels,
     NonIncreasingThresholds,
     Partition,
@@ -23,7 +25,9 @@ from linquant.qualalg import (
     scale7,
 )
 
-from conftest import all_ranges, certainty_leq, contains_interval, holds, midpoint, points_of, value_set
+from conftest import (
+    all_ranges, certainty_leq, contains, contains_interval, covers, holds, midpoint, points_of, value_set,
+)
 
 D = (3 - math.sqrt(5)) / 2  # half*half collapses to few at and above this
 
@@ -228,7 +232,7 @@ class TestProduct:
                 for _ in range(5):
                     x = rng.uniform(s1.lo, s1.hi)
                     y = rng.uniform(s2.lo, s2.hi)
-                    assert out.contains(x * y, tol=1e-9)
+                    assert contains(out, x * y, tol=1e-9)
 
     @pytest.mark.parametrize("alpha,expect_flip", [(0.35, False), (0.39, True)])
     def test_half_half_flip(self, alpha, expect_flip):
@@ -287,7 +291,7 @@ class TestQuotient:
                     for y in ys:
                         if y > 0.0:
                             r = min(1.0, x / y)
-                            assert p.covers(out, ProbInterval(r, r)), (q1, q2, x, y)
+                            assert covers(p, out, ProbInterval(r, r)), (q1, q2, x, y)
 
 
 class TestGalois:
@@ -312,7 +316,7 @@ class TestGalois:
 
         def assert_minimal(p, i):
             q = p.approximate(i)
-            assert p.covers(q, i)
+            assert covers(p, q, i)
             for other in all_ranges(p):
                 inside = (
                     other.low >= q.low
@@ -320,7 +324,7 @@ class TestGalois:
                     and p.specificity_level(other) < p.specificity_level(q)
                 )
                 if inside:
-                    assert not p.covers(other, i)
+                    assert not covers(p, other, i)
 
         rng = np.random.default_rng(2)
         for _ in range(200):
@@ -354,19 +358,55 @@ def _symmetric_scales():
         yield Partition(thresholds, tuple(f"L{i}" for i in range(len(thresholds) + 3)))
 
 
+def _clashes(p, *lines: str) -> bool:
+    """Whether ingesting the lines, in order, into an empty KB over the scale p is a contradiction."""
+    kb = KnowledgeBase(p)
+    try:
+        for line in lines:
+            ingest(kb, line)
+    except ContradictionError:
+        return True
+    return False
+
+
+def _named(p, q) -> str:
+    return f"{p.labels[q.low]} {p.labels[q.high]}"
+
+
 @pytest.mark.parametrize("p", list(_symmetric_scales()), ids=lambda p: f"{p.n_labels}-{p.thresholds}")
 def test_touch_and_certainty_by_value_sets(p):
     # whether two ranges with no common label share a value (`intersection`
-    # of their flagged hulls), and `covers(q, [1, 1])`, against value sets
-    # built from the thresholds alone, never from `Partition`'s own tables
+    # of their flagged hulls), and whether a self edge clashes with a range,
+    # against value sets built from the thresholds alone, never from
+    # `Partition`'s own tables
     ranges = list(all_ranges(p))
     for q in ranges:
-        assert p.covers(q, ProbInterval(1.0, 1.0)) == holds(value_set(p, q), 1.0), q
+        assert _clashes(p, f"q a a {_named(p, q)}") != holds(value_set(p, q), 1.0), q
     disjoint = [(q, r) for q in ranges for r in ranges if meet(q, r) is None]
     assert disjoint
     for q, r in disjoint:
         shared = qualalg.intersection(p.flagged_semantics(q), p.flagged_semantics(r))
         assert (shared is None) == (_common(value_set(p, q), value_set(p, r)) is None), (q, r)
+
+
+@pytest.mark.parametrize("p", list(_symmetric_scales()), ids=lambda p: f"{p.n_labels}-{p.thresholds}")
+def test_statements_clash_exactly_when_their_value_sets_share_none(p):
+    # every ordered pair of ranges on one edge, and every range with every
+    # closed interval whose ends lie on 0, the thresholds, their midpoints
+    # and 1, in both orders, against value sets built from the thresholds alone
+    ranges = list(all_ranges(p))
+    for q, r in itertools.product(ranges, repeat=2):
+        expected = _common(value_set(p, q), value_set(p, r)) is None
+        assert _clashes(p, f"q x y {_named(p, q)}", f"q x y {_named(p, r)}") == expected, (q, r)
+    ends = (0.0, *p.thresholds, 1.0)
+    grid = sorted({*ends, *((a + b) / 2 for a, b in zip(ends, ends[1:]))})
+    for q in ranges:
+        stated = f"q x y {_named(p, q)}"
+        for lo, hi in itertools.combinations_with_replacement(grid, 2):
+            expected = _common(value_set(p, q), (lo, True, hi, True)) is None
+            interval = f"n x y {lo!r} {hi!r}"
+            assert _clashes(p, stated, interval) == expected, (q, lo, hi)
+            assert _clashes(p, interval, stated) == expected, (q, lo, hi)
 
 
 @pytest.mark.parametrize("p", list(_symmetric_scales()), ids=lambda p: f"{p.n_labels}-{p.thresholds}")
