@@ -103,7 +103,7 @@ def cmd_robustness(args) -> int:
     report = tables.robustness_sweep(*args.alpha, args.reference)
     alphas = report.alpha_values
     # the fewest decimals, at least 4, that keep the swept alphas apart (they are rounded to 12)
-    places = next(d for d in range(4, 13) if len({f"{a:.{d}f}" for a in alphas}) == len(set(alphas)))
+    places = next(d for d in range(4, 13) if len({f"{a:.{d}f}" for a in alphas}) == len(alphas))
     payload = {
         "reference_alpha": report.reference_alpha,
         "alpha_values": list(alphas),

@@ -15,13 +15,13 @@ empty meet is the one clash.  In `_constrain` one value set is the edge's
 and one the statement's: an interval, or where a label range is stated,
 the part of the interval in the range's values.  A self edge stores
 nothing: it holds P(a|a) = 1, so a statement on one is a clash when it
-excludes 1, as `al-all` does.  A stated label range keeps the labels that
-the meet leaves (`Partition.restrict`).  Numeric mode stops where a bound
-moves by at most 1e-9, so floating point terminates.  Qualitative mode
-approximates a meet once, in `narrow`, when it moved the hull, and its
-lattice of ranges is finite.  Two label ranges with no common label that
-share a value, a threshold, are no clash: a statement keeps the upper
-range, and `narrow` the current one.
+excludes 1, as `al-all` does.  A label range keeps the labels that the
+meet leaves (`Partition.restrict`), in a statement and in `narrow` alike.
+Numeric mode stops where a bound moves by at most 1e-9, so floating point
+terminates.  Qualitative mode approximates a meet once, when it moved the
+hull, and its lattice of ranges is finite.  Two label ranges with no common
+label that share a value, a threshold, are no clash: a statement keeps the
+upper range, and `narrow` the current range's label at that threshold.
 
 Saturation is index-addressed.  `saturate` numbers the KB's nodes once, in
 sorted order, and works on those numbers.  In both modes the store keeps
@@ -30,9 +30,9 @@ index u*n+v of four flat lists: a numeric edge attains both ends of its
 interval, and a label range carries the flags of
 `Partition.flagged_semantics`, which its approximation inverts exactly.  So
 a rule application reads list items and, in qualitative mode, restates no
-label's meaning.  A narrowed edge is loaded back from `kb.edges`, the store
-of record.  Names come back only in `TraceStep`s and in
-`ContradictionError` messages and their chains.
+label's meaning.  The store reads `kb.edges`, the store of record, once;
+then it writes the hull that `narrow` returns.  Names come back only in
+`TraceStep`s and in `ContradictionError` messages and their chains.
 
 The cycle rule works on bounds of class-mass ratios.  By Bayes' theorem
 P(y)/P(x) = P(y|x)/P(x|y) <= hi(y|x)/lo(x|y), and ratios multiply along a
@@ -107,8 +107,10 @@ class KnowledgeBase(Value):
     def __init__(
         self, partition: Partition, mode: str = "numeric", nodes=(), edges=(), queries=()
     ) -> None:
+        if mode not in ("numeric", "qualitative"):
+            raise ValueError(f"unknown mode {mode!r}: numeric or qualitative")
         self.partition = partition
-        self.mode = mode  # or "qualitative"
+        self.mode = mode
         self.nodes: list[str] = list(nodes)
         self.edges: dict[tuple[str, str], Edge] = dict(edges)
         self.queries: list[tuple[str, str]] = list(queries)
@@ -255,9 +257,9 @@ class _Store:
 
     Each edge is a flagged hull, (lo, lo attained, hi, hi attained), in four
     flat lists at its index, in both modes; self edges hold P(a|a) = 1.
-    `load` copies an edge in from `kb.edges`, the store of record, through
-    the mode's `flagged`; an informative edge puts each end in the other's
-    `near`, a dict of classes in the order their edges were entered.
+    `write` puts a hull there, a stated one read once through the mode's
+    `flagged` or a narrowed one; an informative edge puts each end in the
+    other's `near`, a dict of classes in the order their edges were entered.
     `close` adds, at index x*n+y, a flagged upper bound on P(y)/P(x) over
     paths of every length, and `hop`, the class after x on its path; inf is
     no bound when attained, and finite but unknown when open.  `relax` keeps
@@ -265,7 +267,6 @@ class _Store:
     """
 
     def __init__(self, kb: KnowledgeBase):
-        self.kb = kb
         self.names = sorted(kb.nodes)
         n = self.n = len(self.names)
         self.index = {name: i for i, name in enumerate(self.names)}
@@ -275,7 +276,7 @@ class _Store:
         self.lo[:: n + 1] = [1.0] * n  # P(a|a) = 1
         self.near: list[dict] = [{} for _ in range(n)]
         for e in self.stated:
-            self.load(e)
+            self.write(e, self.flagged(kb, self.pair(e)))
 
     def edge(self, frm: str, to: str) -> int:
         return self.index[frm] * self.n + self.index[to]
@@ -284,8 +285,8 @@ class _Store:
         u, v = divmod(e, self.n)
         return self.names[u], self.names[v]
 
-    def load(self, e: int) -> None:
-        self.lo[e], self.lo_att[e], self.hi[e], self.hi_att[e] = self.flagged(self.pair(e))
+    def write(self, e: int, hull: Flagged) -> None:
+        self.lo[e], self.lo_att[e], self.hi[e], self.hi_att[e] = hull
         if self.informative(e):
             u, v = divmod(e, self.n)
             self.near[u][v] = self.near[v][u] = True
@@ -424,15 +425,15 @@ class _Store:
 class _Intervals(_Store):
     """Numeric mode: an edge attains both ends of its interval.
 
-    A move of at most `_EPS` is no change.  A candidate is a flagged hull
-    that attains both ends, inverted by at most rounding (lo <= hi + 1e-12).
+    A move of at most `_EPS` is no change.  A candidate is a flagged hull,
+    inverted by at most rounding (lo <= hi + 1e-12); the meet attains its ends.
     """
 
     cycle_phase = "bayes"
     show = str
 
-    def flagged(self, pair: tuple[str, str]) -> Flagged:
-        return self.kb.interval(*pair).flagged()
+    def flagged(self, kb: KnowledgeBase, pair: tuple[str, str]) -> Flagged:
+        return kb.interval(*pair).flagged()
 
     def value(self, e: int) -> ProbInterval:
         return ProbInterval(self.lo[e], self.hi[e])
@@ -441,20 +442,19 @@ class _Intervals(_Store):
         if candidate[0] - self.lo[e] <= _EPS and self.hi[e] - candidate[2] <= _EPS:
             return _SAME
         new = qualalg.intersection((self.lo[e], True, self.hi[e], True), candidate)
-        return new and ProbInterval(new[0], new[2])
+        return new and (new[0], True, new[2], True)
 
-    @staticmethod
-    def statement(new: ProbInterval) -> tuple[ProbInterval, None]:
-        return new, None
+    def statement(self, e: int) -> tuple[ProbInterval, None]:
+        return self.value(e), None
 
 
 class _Labels(_Store):
     """Qualitative mode: an edge holds the flagged hull of its label range.
 
-    `narrow` meets a candidate with the edge's hull and approximates the
-    meet once, when the hull moved; an edge's label range is the
-    approximation of its hull, which inverts `flagged_semantics` exactly.
-    The lattice of ranges is finite, so equality ends it.
+    `narrow` meets a candidate with the edge's hull and, if the hull moved,
+    keeps the range's labels that the meet leaves (`Partition.restrict`).  A
+    range is the approximation of its hull, which inverts `flagged_semantics`
+    exactly.  The lattice of ranges is finite, so equality ends it.
     """
 
     cycle_phase = "gbt"
@@ -465,8 +465,8 @@ class _Labels(_Store):
         self.approximate = p._approximate
         super().__init__(kb)
 
-    def flagged(self, pair: tuple[str, str]) -> Flagged:
-        return self.partition.flagged_semantics(self.kb.qual(*pair))
+    def flagged(self, kb: KnowledgeBase, pair: tuple[str, str]) -> Flagged:
+        return self.partition.flagged_semantics(kb.qual(*pair))
 
     def value(self, e: int) -> QRange:
         return self.approximate(self.lo[e], self.lo_att[e], self.hi[e], self.hi_att[e])
@@ -479,12 +479,12 @@ class _Labels(_Store):
         common = qualalg.intersection(hull, candidate)
         if common is None or common == hull:  # a clash, or the hull did not move
             return common and _SAME
-        old = self.value(e)
-        new = qualalg.meet(old, self.approximate(*common))
-        return _SAME if new in (None, old) else new  # None: `common` is a threshold point old holds
+        new = self.partition.flagged_semantics(self.partition.restrict(self.value(e), common))
+        return _SAME if new == hull else new
 
-    def statement(self, new: QRange) -> tuple[ProbInterval, QRange]:
-        return self.partition.semantics(new), new
+    def statement(self, e: int) -> tuple[ProbInterval, QRange]:
+        q = self.value(e)
+        return self.partition.semantics(q), q
 
 
 def _domain(kb: KnowledgeBase):
@@ -498,10 +498,10 @@ def saturate(kb: KnowledgeBase) -> tuple[KnowledgeBase, list[TraceStep]]:
     Two first-in first-out queues hold the contexts still to apply: node
     triples for the syllogism and ordered pairs for the cycle rule.  They
     start with every context that can narrow, and the syllogism queue drains
-    before each pair.  A narrowed value reaches its edge through
-    `_constrain`, so a stated range that it leaves no label of is a clash,
-    as at ingestion; the ratio bounds are relaxed through the edge, and the
-    contexts that read it are queued again, each at most once at a time.
+    before each pair.  The store writes a narrowed hull and `_constrain` meets
+    it into `kb.edges`, so a stated range that it leaves no label of is a
+    clash, as at ingestion; the ratio bounds are relaxed through the edge, and
+    the contexts that read it are queued again, each at most once at a time.
     """
     out = kb.copy()
     trace: list[TraceStep] = []
@@ -536,12 +536,12 @@ def saturate(kb: KnowledgeBase) -> tuple[KnowledgeBase, list[TraceStep]]:
                 f"{old} meets {domain.show_candidate(candidate)}",
                 trace[-20:],
             )
+        domain.write(target, new)
         try:
-            _constrain(out, *pair, *domain.statement(new))
+            _constrain(out, *pair, *domain.statement(target))
         except ContradictionError as exc:  # the interval left no label of a stated range
             raise ContradictionError(f"{phase} ({', '.join(shown)}): {exc}", trace[-20:]) from None
-        domain.load(target)
-        trace.append(TraceStep(phase, shown, pair, old, domain.show(new)))
+        trace.append(TraceStep(phase, shown, pair, old, domain.show(domain.value(target))))
         edge = divmod(target, domain.n)
         syllogisms.extend(domain.triples(edge))
         pairs.extend(domain.relax(*edge))

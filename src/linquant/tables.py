@@ -169,10 +169,10 @@ def robustness_sweep(
         raise ThresholdOutOfRange("alpha step must be positive")
     if (alpha_to - alpha_from + 1e-12) / step >= _MAX_ALPHAS:  # the loop below makes one more
         raise ThresholdOutOfRange(f"alpha step too small: more than {_MAX_ALPHAS} alphas")
-    alphas = []
+    alphas = {}  # each alpha once, though several steps round to it
     a = alpha_from
     while a <= alpha_to + 1e-12:
-        alphas.append(round(a, 12))
+        alphas[round(a, 12)] = None
         a += step
     built = {
         a: gen_table(Partition((a, 1 - a), SCALE5_LABELS))

@@ -206,7 +206,7 @@ def rotation_candidate(domain, seq: tuple[int, ...]):
     forward = [seq[i + 1] * n + seq[i] for i in range(k - 1)] + [seq[0] * n + seq[-1]]
     backward = [seq[i] * n + seq[i + 1] for i in range(k - 1)]
     target = seq[-1] * n + seq[0]
-    if domain.kb.mode == "qualitative":
+    if domain.cycle_phase == "gbt":
         def hulls(edges):
             return [(domain.lo[e], domain.lo_att[e], domain.hi[e], domain.hi_att[e]) for e in edges]
 

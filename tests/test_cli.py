@@ -203,12 +203,16 @@ def test_robustness_report(tmp_path):
 
 
 def test_robustness_keys_every_swept_alpha(tmp_path):
-    # 51 alphas 1e-5 apart, which 4 decimals would fold into 6 keys
-    out = tmp_path / "rob.json"
-    assert main(["robustness", "--alpha", "0.3:0.3005:0.00001", "--out", str(out)]) == 0
-    payload = json.loads(out.read_text())
-    assert len(payload["alpha_values"]) == 51
-    assert list(payload["changes_per_alpha"]) == [f"{a:.5f}" for a in payload["alpha_values"]]
+    # 51 alphas 1e-5 apart, which 4 decimals would fold into 6 keys; and 111
+    # steps of 1e-13, which round to 12 alphas at 12 decimals, each listed once
+    sweeps = (("0.3:0.3005:0.00001", 51, 5), ("0.3:0.30000000001:1e-13", 12, 12))
+    for sweep, count, places in sweeps:
+        out = tmp_path / "rob.json"
+        assert main(["robustness", "--alpha", sweep, "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert len(payload["alpha_values"]) == count
+        assert payload["alpha_values"] == sorted(set(payload["alpha_values"]))
+        assert list(payload["changes_per_alpha"]) == [f"{a:.{places}f}" for a in payload["alpha_values"]]
 
 
 def test_robustness_flags_product_flip(tmp_path):

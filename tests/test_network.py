@@ -91,6 +91,13 @@ class TestIngest:
         assert labels.narrow(labels.edge("a", "b"), most) is network._SAME
         assert labels.narrow(labels.edge("b", "a"), half) is network._SAME
 
+    def test_derived_point_on_the_threshold_below_keeps_the_lowest_label(self, p7):
+        # the candidate meets [most, al-all] only at 0.6, a value of most (and
+        # of half), so the edge keeps most, as `Partition.restrict` does
+        labels = network._domain(parse_kb(SCALE7 + "q a b most al-all\n", "qualitative"))
+        most = p7.flagged_semantics(p7.range_of("most"))
+        assert labels.narrow(labels.edge("a", "b"), (0.5, True, 0.6, True)) == most
+
     def test_derived_range_meets_the_edge_by_value_sets(self, p7):
         # few is [0.2, 0.4]: a candidate from 0.41 shares no value with it,
         # though its approximation, half, touches few at 0.4; one from 0.4 does
@@ -114,6 +121,15 @@ class TestIngest:
         with pytest.raises(ContradictionError) as err:
             ingest(kb, "n a b 0.5 1")
         assert "a -> b" in str(err.value)
+
+    @pytest.mark.parametrize("mode", ["Qualitative", "labels", ""])
+    def test_unknown_mode(self, p7, mode):
+        # only "qualitative" picks the label domain, so any other name but
+        # "numeric" would run numeric mode unseen
+        with pytest.raises(ValueError, match=f"unknown mode {mode!r}"):
+            parse_kb(SCALE7 + "q a b most\n", mode)
+        with pytest.raises(ValueError, match=f"unknown mode {mode!r}"):
+            KnowledgeBase(p7, mode)
 
     def test_copy_shares_no_container(self, p7):
         kb = KnowledgeBase(p7, "numeric")
@@ -623,6 +639,17 @@ class TestWorklist:
             for got, want in zip(kept.ratio, fresh.ratio):
                 assert got == want or got == pytest.approx(want, rel=1e-12), (got, want)
         assert moved > 100
+
+    def test_store_reads_the_kb_edges_once(self, monkeypatch):
+        # the store reads each stated edge from `kb.edges` when it is built;
+        # after that it writes the hulls that `narrow` returns
+        for kb in (parse_kb(CHAIN16), parse_kb(STUDENTS_KB9, "qualitative")):
+            domain, calls = type(network._domain(kb)), []
+            flagged = domain.flagged
+            with monkeypatch.context() as patch:
+                patch.setattr(domain, "flagged", lambda *args: calls.append(args) or flagged(*args))
+                _, trace = saturate(kb)
+            assert trace and len(calls) == len(kb.edges), (len(trace), len(calls))
 
     def test_independent_of_the_queue_order(self, monkeypatch):
         # the fixpoint does not depend on the order of application; in numeric
