@@ -47,14 +47,22 @@ for x -> y, [lo(x|y) / ratio(y, x), hi(x|y) . ratio(x, y)] clipped to
 rotation of any simple cycle, which the tests keep as references.  A step
 narrows one end and names the cycle A1 = y, .., Ak = x of that end's path.
 
-The engine is a worklist (AC-3, Mackworth 1977): it applies a rule only to
-contexts that can narrow, and after an edge narrows it queues again only
-the contexts that read that edge.  A syllogism (a, b, c) needs an
-informative edge between b and a and one between b and c, in either
-direction, as with either pair vacuous the closed forms give the vacuous
-candidate.  The cycle rule on a pair needs a ratio bound either way; after
-u -> v narrows, (v, u) reads it, and every pair whose bound moved is queued
-again both ways.
+The engine is a worklist (AC-3, Mackworth 1977): it queues a context only
+when the premise ends that its rule reads can make the candidate
+informative, and after an edge narrows it lists again only the contexts that
+read what moved.  The closed forms of the syllogism (a, b, c) give a lower
+end above 0 only if lo(b|a) > 0 and lo(c|b) > 0, and an upper end below 1
+only if lo(a|b) > 0 and either hi(c|b) < 1 or lo(b|c) > 0.  The cycle
+candidate for x -> y has an informative lower end only if lo(x|y) is
+positive or open and ratio(y, x) is a nonzero bound, and an informative
+upper end only if ratio(x, y) is a bound and hi(x|y) = 0 or
+hi(x|y) . ratio(x, y) <= 1, where an end at 1 can still be open.  Each
+filter reads only what its rule reads, and the engine lists a context again
+whenever one of those moves: after u -> v narrows, the syllogisms that read
+that edge, and the pair (v, u) and every pair whose ratio bound moved, both
+ways.  So a context that a filter drops would propose [0, 1], and it comes
+back when it can narrow, as a watched literal does (Moskewicz et al.,
+"Chaff", DAC 2001).
 
 Both rules are monotone narrowing operators, so the fixpoint does not
 depend on the order of application (Cousot & Cousot 1977), up to the 1e-9
@@ -263,7 +271,10 @@ class _Store:
     `close` adds, at index x*n+y, a flagged upper bound on P(y)/P(x) over
     paths of every length, and `hop`, the class after x on its path; inf is
     no bound when attained, and finite but unknown when open.  `relax` keeps
-    them closed.
+    them closed, through the pivot loop `_through` that `close` runs.  The
+    contexts they list pass the engine's filters: `triples` lists, from
+    `near`, the syllogisms whose premise ends can narrow, and `cycle_pairs`
+    keeps the pairs whose cycle candidate can.
     """
 
     def __init__(self, kb: KnowledgeBase):
@@ -295,14 +306,22 @@ class _Store:
         return self.lo[e] != 0.0 or self.hi[e] != 1.0 or not (self.lo_att[e] and self.hi_att[e])
 
     def triples(self, pair: tuple[int, int] | None = None) -> list[tuple[int, int, int]]:
-        """Syllogisms (a, b, c) with a and c near b; if `pair` is given, those that read it."""
+        """The syllogisms (a, b, c) whose premise ends can narrow; if `pair` is given, those that read it.
+
+        The candidate's lower end can be positive only if lo(b|a) > 0 and
+        lo(c|b) > 0, and its upper end below 1 only if lo(a|b) > 0 and either
+        hi(c|b) < 1 or lo(b|c) > 0 (`TestStructuralVacuity`); so a and c are
+        near b, and the others would propose [0, 1].
+        """
+        n, lo, hi = self.n, self.lo, self.hi
         if pair is None:
-            return [(a, b, c) for b, ab in enumerate(self.near) for a in ab for c in ab if a != c]
-        return [
-            triple
-            for b, other in (pair, pair[::-1]) for x in self.near[b] if x != other
-            for triple in ((other, b, x), (x, b, other))
-        ]
+            around = ((a, b, c) for b, ab in enumerate(self.near) for a in ab for c in ab if a != c)
+        else:
+            around = ((a, b, c) for b, other in (pair, pair[::-1]) for x in self.near[b] if x != other
+                      for a, c in ((other, x), (x, other)))
+        return [(a, b, c) for a, b, c in around
+                if lo[a * n + b] > 0.0 and lo[b * n + c] > 0.0
+                or lo[b * n + a] > 0.0 and (hi[b * n + c] < 1.0 or lo[c * n + b] > 0.0)]
 
     def syllogism(self, context):
         a, b, c = context
@@ -327,9 +346,9 @@ class _Store:
         return (0.0, num_att) if num == 0.0 and not den_att else (inf, den_att)
 
     def close(self) -> list[tuple[int, int]]:
-        """Bound every ratio over paths of every length; returns the pairs bounded either way.
+        """Bound every ratio over paths of every length; returns the pairs whose cycle candidate can narrow.
 
-        One Floyd-Warshall pass, over the bounded entries of each pivot's
+        One Floyd-Warshall pass, each pivot over the bounded entries of its
         column and row only, so a sparse KB costs little.
         """
         n = self.n
@@ -340,30 +359,31 @@ class _Store:
             v, u = divmod(e, n)
             self.ratio[u * n + v], self.ratio_att[u * n + v] = self.direct(u, v)
         for k in range(n):
-            self._through(self._line(k, n * n, n), self._line(k * n, k * n + n, 1))
-        pairs = {(x, y) for x in range(n) for y, *_ in self._line(x * n, x * n + n, 1) if x != y}
-        return sorted(pairs | {(y, x) for x, y in pairs})
+            self._through(k, k)
+        return self.cycle_pairs((x, y) for x in range(n) for y in range(n) if x != y)
 
-    def _line(self, start: int, stop: int, step: int) -> list[tuple[int, float, bool, int]]:
-        """The bounded entries of a column or row of the ratio bounds, with their other class."""
-        ratio, att, hop = self.ratio, self.ratio_att, self.hop
-        return [(k, ratio[e], att[e], hop[e]) for k, e in enumerate(range(start, stop, step))
-                if ratio[e] != inf or not att[e]]
+    def _through(self, x: int, y: int, d: float = 1.0, d_att: bool = True) -> list[int]:
+        """Meet ratio(i, x) . d . ratio(y, j) into ratio(i, j) over the bounded entries; returns what moved.
 
-    def _through(self, left, right) -> list[int]:
-        """Meet ratio(i, k) . ratio(k, j) into ratio(i, j), i left and j right; returns what moved.
-
-        Only bounded entries come in, so 0 times an inf is 0, and a product
-        of 0 is attained.  At an equal value the open bound is the tighter.
+        `close` pivots on k as x = y = k, d = 1, and skips k's own row and
+        column, which that cannot move.  Only bounded entries come in, so 0
+        times an inf is 0, and a product of 0 is attained.  At an equal value
+        the open bound is the tighter.  What moved is in index order.
         """
         n, ratio, att, hop = self.n, self.ratio, self.ratio_att, self.hop
+        pivot = x if x == y else -1
+        row = [(j, ratio[e], att[e]) for j, e in enumerate(range(y * n, y * n + n))
+               if (ratio[e] != inf or not att[e]) and j != pivot]
         moved = []
-        for i, a, a_att, first in left:
-            base = i * n
-            for j, b, b_att, _ in right:
+        for i, e in enumerate(range(x, n * n, n)) if row else ():
+            a, a_att = ratio[e], att[e]
+            if a == inf and a_att or i == pivot:
+                continue
+            first = hop[e] if i != x else y
+            a, a_att, base = a * d if a and d else 0.0, a_att and d_att, i * n
+            for j, b, b_att in row:
                 v, e = a * b if a and b else 0.0, base + j
-                tighter = v < ratio[e] or v == ratio[e] and v and att[e] and not (a_att and b_att)
-                if tighter and i != j:
+                if (v < ratio[e] or v == ratio[e] and v and att[e] and not (a_att and b_att)) and i != j:
                     ratio[e], att[e], hop[e] = v, a_att and b_att or not v, first
                     moved.append(e)
         return moved
@@ -373,7 +393,8 @@ class _Store:
 
         Every pair is relaxed through each of the direct bounds of (u, v)
         and (v, u) that tightens.  The pairs are (v, u), which reads the
-        edge, and every pair whose bound moved, both ways.
+        edge, and every pair whose bound moved, both ways, each kept if its
+        cycle candidate can narrow.
         """
         n, ratio, att = self.n, self.ratio, self.ratio_att
         moved = []
@@ -381,13 +402,30 @@ class _Store:
             d, d_att = self.direct(x, y)
             e = x * n + y
             if d < ratio[e] or d == ratio[e] and att[e] and not d_att:
-                left = [(i, r * d if r and d else 0.0, r_att and d_att, h if i != x else y)
-                        for i, r, r_att, h in self._line(x, n * n, n)]
-                moved += self._through(left, self._line(y * n, y * n + n, 1))
+                moved += self._through(x, y, d, d_att)
         pairs = [(v, u)]
         for x, y in map(divmod, moved, itertools.repeat(n)):
             pairs += [(x, y), (y, x)]
-        return list(dict.fromkeys(pairs))
+        return self.cycle_pairs(dict.fromkeys(pairs))
+
+    def cycle_pairs(self, pairs) -> list[tuple[int, int]]:
+        """The pairs (x, y) of `pairs` whose cycle candidate for x -> y can narrow, in their order.
+
+        Its lower end, lo(x|y) / ratio(y, x), is informative only if lo(x|y)
+        is positive or open and ratio(y, x) is a nonzero bound.  Its upper
+        end, hi(x|y) . ratio(x, y), is informative only if ratio(x, y) is a
+        bound and hi(x|y) = 0 or that product is at most 1: at 1 the end can
+        still be open.  Otherwise `bayes` proposes [0, 1].
+        """
+        n, lo, lo_att, hi, ratio, att = self.n, self.lo, self.lo_att, self.hi, self.ratio, self.ratio_att
+        out = []
+        for x, y in pairs:
+            xy, yx = x * n + y, y * n + x
+            r, s = ratio[yx], ratio[xy]
+            if ((lo[yx] > 0.0 or not lo_att[yx]) and r != 0.0 and (r < inf or not att[yx])
+                    or (s < inf or not att[xy]) and (hi[yx] == 0.0 or hi[yx] * s <= 1.0)):
+                out.append((x, y))
+        return out
 
     def bayes(self, pair: tuple[int, int]) -> tuple[int, Flagged]:
         """The cycle rule's candidate for the edge x -> y, from the ratio bounds either way.
@@ -444,8 +482,9 @@ class _Intervals(_Store):
         new = qualalg.intersection((self.lo[e], True, self.hi[e], True), candidate)
         return new and (new[0], True, new[2], True)
 
-    def statement(self, e: int) -> tuple[ProbInterval, None]:
-        return self.value(e), None
+    @staticmethod
+    def statement(value: ProbInterval) -> tuple[ProbInterval, None]:
+        return value, None
 
 
 class _Labels(_Store):
@@ -482,8 +521,7 @@ class _Labels(_Store):
         new = self.partition.flagged_semantics(self.partition.restrict(self.value(e), common))
         return _SAME if new == hull else new
 
-    def statement(self, e: int) -> tuple[ProbInterval, QRange]:
-        q = self.value(e)
+    def statement(self, q: QRange) -> tuple[ProbInterval, QRange]:
         return self.partition.semantics(q), q
 
 
@@ -497,11 +535,12 @@ def saturate(kb: KnowledgeBase) -> tuple[KnowledgeBase, list[TraceStep]]:
 
     Two first-in first-out queues hold the contexts still to apply: node
     triples for the syllogism and ordered pairs for the cycle rule.  They
-    start with every context that can narrow, and the syllogism queue drains
-    before each pair.  The store writes a narrowed hull and `_constrain` meets
-    it into `kb.edges`, so a stated range that it leaves no label of is a
-    clash, as at ingestion; the ratio bounds are relaxed through the edge, and
-    the contexts that read it are queued again, each at most once at a time.
+    start with every context whose premise ends can narrow, and the
+    syllogism queue drains before each pair.  The store writes a narrowed
+    hull and `_constrain` meets it into `kb.edges`, so a stated range that it
+    leaves no label of is a clash, as at ingestion; the ratio bounds are
+    relaxed through the edge, and the contexts that read what moved and can
+    narrow are queued again, each at most once at a time.
     """
     out = kb.copy()
     trace: list[TraceStep] = []
@@ -537,11 +576,12 @@ def saturate(kb: KnowledgeBase) -> tuple[KnowledgeBase, list[TraceStep]]:
                 trace[-20:],
             )
         domain.write(target, new)
+        value = domain.value(target)
         try:
-            _constrain(out, *pair, *domain.statement(target))
+            _constrain(out, *pair, *domain.statement(value))
         except ContradictionError as exc:  # the interval left no label of a stated range
             raise ContradictionError(f"{phase} ({', '.join(shown)}): {exc}", trace[-20:]) from None
-        trace.append(TraceStep(phase, shown, pair, old, domain.show(domain.value(target))))
+        trace.append(TraceStep(phase, shown, pair, old, domain.show(value)))
         edge = divmod(target, domain.n)
         syllogisms.extend(domain.triples(edge))
         pairs.extend(domain.relax(*edge))

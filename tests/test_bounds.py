@@ -191,7 +191,11 @@ def _ends(rng: np.random.Generator, count: int) -> np.ndarray:
 
 
 class TestStructuralVacuity:
-    """Premises whose ends alone leave a closed form vacuous, whatever the other ends."""
+    """Premises whose ends alone leave a closed form vacuous, whatever the other ends.
+
+    The saturation engine's filters rest on these: `network._Store.triples`
+    drops a syllogism whose premise ends leave both closed forms vacuous.
+    """
 
     def test_lower_is_zero_without_lo_ba_or_lo_cb(self):
         rng = np.random.default_rng(12)
