@@ -8,12 +8,13 @@ One engine serves both modes; `_domain` picks the mode's domain.  The rules
 only propose: each reads the edges of its context, never its target, and
 returns a candidate for the target.  The domain's `narrow` alone meets the
 candidate into the edge, and an empty meet raises `ContradictionError`.
-`_constrain` alone writes an edge of `kb.edges`: a narrowed value reaches it
-as a statement (`statement`), met in as a stated line is.  Every meet is
-`qualalg.intersection`, of the value sets of two flagged hulls, and an
-empty meet is the one clash.  In `_constrain` one value set is the edge's
-and one the statement's: an interval, or where a label range is stated,
-the part of the interval in the range's values.  A self edge stores
+`_constrain` alone writes an edge of `kb.edges`: a narrowed value, an
+interval or a label range, reaches it as the value of a stated line does,
+and is met in the same way.  Every meet is `qualalg.intersection`, of the
+value sets of two flagged hulls, and an empty meet is the one clash.  In
+`_constrain` one value set is the edge's and one the statement's: an
+interval, or where a label range is stated, the part of the interval in
+the range's values.  A self edge stores
 nothing: it holds P(a|a) = 1, so a statement on one is a clash when it
 excludes 1, as `al-all` does.  A label range keeps the labels that the
 meet leaves (`Partition.restrict`), in a statement and in `narrow` alike.
@@ -62,20 +63,22 @@ whenever one of those moves: after u -> v narrows, the syllogisms that read
 that edge, and the pair (v, u) and every pair whose ratio bound moved, both
 ways.  So a context that a filter drops would propose [0, 1], and it comes
 back when it can narrow, as a watched literal does (Moskewicz et al.,
-"Chaff", DAC 2001).
+"Chaff", DAC 2001).  Each worklist is an `OrderedDict` used as an ordered
+set: a context is taken from the front in O(1), and one listed again while
+it waits keeps its place.
 
 Both rules are monotone narrowing operators, so the fixpoint does not
 depend on the order of application (Cousot & Cousot 1977), up to the 1e-9
 stop of numeric mode: a slowly converging bound stops where one step moves
 it by less than 1e-9, so two orders can stop a few 1e-9 apart (2.2e-9 has
-been seen).  The queues follow the class numbers, so a run depends neither
-on the string hash seed nor on the order of the statements.
+been seen).  The worklists follow the class numbers, so a run depends
+neither on the string hash seed nor on the order of the statements.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import deque
+from collections import OrderedDict
 from functools import reduce
 from math import inf
 from typing import NamedTuple
@@ -159,12 +162,11 @@ def ingest(kb: KnowledgeBase, line: str) -> None:
     if kind == "q":
         if len(fields) not in (4, 5):
             raise ValueError(f"bad qualitative statement: {line!r}")
-        qual = kb.partition.range_of(fields[3], fields[4] if len(fields) == 5 else None)
-        statement = kb.partition.semantics(qual), qual
+        value = kb.partition.range_of(fields[3], fields[4] if len(fields) == 5 else None)
     elif kind == "n":
         if len(fields) != 5:
             raise ValueError(f"bad numeric statement: {line!r}")
-        statement = ProbInterval(float(fields[3]), float(fields[4])), None
+        value = ProbInterval(float(fields[3]), float(fields[4]))
     elif kind == "?":
         if len(fields) != 3:
             raise ValueError(f"bad query: {line!r}")
@@ -174,20 +176,19 @@ def ingest(kb: KnowledgeBase, line: str) -> None:
     kb.add_node(fields[1])
     kb.add_node(fields[2])
     if kind != "?":
-        _constrain(kb, fields[1], fields[2], *statement)
+        _constrain(kb, fields[1], fields[2], value)
 
 
-def _constrain(
-    kb: KnowledgeBase, frm: str, to: str, interval: ProbInterval, qual: QRange | None
-) -> None:
-    """Meet a statement into the edge frm -> to: the one code that writes an edge.
+def _constrain(kb: KnowledgeBase, frm: str, to: str, value: ProbInterval | QRange) -> None:
+    """Meet a stated interval or label range into the edge frm -> to: the one writer of an edge.
 
     The edge and the statement each hold a value set: an interval, or where a
     label range is stated, the part of it in the range's values
-    (`flagged_semantics`).  One `qualalg.intersection` meets the two, and an
-    empty meet is a clash.  A self edge holds P(a|a) = 1 and stores nothing.
-    Two ranges that share labels keep those labels, and two that share only a
-    threshold the upper one; the range kept holds the labels the meet leaves
+    (`flagged_semantics`, the range's hull and its flags).  One
+    `qualalg.intersection` meets the two, and an empty meet is a clash.  A
+    self edge holds P(a|a) = 1 and stores nothing.  Two ranges that share
+    labels keep those labels, and two that share only a threshold the upper
+    one; the range kept holds the labels the meet leaves
     (`Partition.restrict`).
     """
     p = kb.partition
@@ -196,24 +197,23 @@ def _constrain(
     if old.qual is not None:  # the edge's interval lies in its range's hull
         lo, lo_att, hi, hi_att = p.flagged_semantics(old.qual)
         was = was[0], was[0] != lo or lo_att, was[2], was[2] != hi or hi_att
-    common = qualalg.intersection(was, interval.flagged() if qual is None else p.flagged_semantics(qual))
+    qual = value if isinstance(value, QRange) else None
+    common = qualalg.intersection(was, value.flagged() if qual is None else p.flagged_semantics(qual))
     if common is None:
         if frm == to:
             raise ContradictionError(f"self edge {frm} must be certain")
         old_shown = old.interval if old.qual is None else p.name_of(old.qual)
-        new_shown = interval if qual is None else p.name_of(qual)
+        new_shown = value if qual is None else p.name_of(qual)
         raise ContradictionError(f"contradiction on edge {frm} -> {to}: {old_shown} vs {new_shown}")
     if frm == to:
         return
-    if common[0] != interval.lo or common[2] != interval.hi:
-        interval = ProbInterval(common[0], common[2])
     if qual is None:
         qual = old.qual
     elif old.qual is not None:  # of two ranges that share only a threshold, the upper one
         qual = qualalg.meet(qual, old.qual) or (qual if qual.low > old.qual.low else old.qual)
     if qual is not None:
         qual = p.restrict(qual, common)
-    kb.edges[(frm, to)] = Edge(interval, qual)
+    kb.edges[(frm, to)] = Edge(ProbInterval(common[0], common[2]), qual)
 
 
 def parse_kb(text: str, mode: str = "numeric") -> KnowledgeBase:
@@ -227,7 +227,7 @@ def parse_kb(text: str, mode: str = "numeric") -> KnowledgeBase:
             ingest(kb, line)
         except ContradictionError as exc:
             raise ContradictionError(f"line {no}: {exc}") from exc
-        except (ValueError, KeyError) as exc:
+        except ValueError as exc:
             raise qualalg.ConfigError(str(exc), no) from exc
     return kb
 
@@ -258,6 +258,7 @@ def simple_cycles(nodes: list[str], max_len: int) -> list[tuple[str, ...]]:
 
 _EPS = 1e-9  # numeric mode: a move of at most this is no change
 _SAME = object()  # what `narrow` returns when the edge keeps its value
+_ROUNDING = 1.0 - 1e-12  # a ratio bound that falls by a smaller share has its path kept
 
 
 class _Store:
@@ -368,7 +369,11 @@ class _Store:
         `close` pivots on k as x = y = k, d = 1, and skips k's own row and
         column, which that cannot move.  Only bounded entries come in, so 0
         times an inf is 0, and a product of 0 is attained.  At an equal value
-        the open bound is the tighter.  What moved is in index order.
+        the open bound is the tighter.  A bound that falls only by rounding
+        keeps its `hop`, so no path takes a cycle whose ratios multiply to 1,
+        as c0 -> c2 -> c0 does where P(c2|c0) = 0.7 and P(c0|c2) = 0.5 are
+        stated, and `path` reaches its target on a KB that does not clash.
+        What moved is in index order.
         """
         n, ratio, att, hop = self.n, self.ratio, self.ratio_att, self.hop
         pivot = x if x == y else -1
@@ -384,7 +389,10 @@ class _Store:
             for j, b, b_att in row:
                 v, e = a * b if a and b else 0.0, base + j
                 if (v < ratio[e] or v == ratio[e] and v and att[e] and not (a_att and b_att)) and i != j:
-                    ratio[e], att[e], hop[e] = v, a_att and b_att or not v, first
+                    v_att = a_att and b_att or not v
+                    if v < ratio[e] * _ROUNDING or v_att != att[e]:  # else the old path is as tight
+                        hop[e] = first
+                    ratio[e], att[e] = v, v_att
                     moved.append(e)
         return moved
 
@@ -482,10 +490,6 @@ class _Intervals(_Store):
         new = qualalg.intersection((self.lo[e], True, self.hi[e], True), candidate)
         return new and (new[0], True, new[2], True)
 
-    @staticmethod
-    def statement(value: ProbInterval) -> tuple[ProbInterval, None]:
-        return value, None
-
 
 class _Labels(_Store):
     """Qualitative mode: an edge holds the flagged hull of its label range.
@@ -521,9 +525,6 @@ class _Labels(_Store):
         new = self.partition.flagged_semantics(self.partition.restrict(self.value(e), common))
         return _SAME if new == hull else new
 
-    def statement(self, q: QRange) -> tuple[ProbInterval, QRange]:
-        return self.partition.semantics(q), q
-
 
 def _domain(kb: KnowledgeBase):
     """The mode's domain: how its edges are stored, read, shown, narrowed and written."""
@@ -533,26 +534,27 @@ def _domain(kb: KnowledgeBase):
 def saturate(kb: KnowledgeBase) -> tuple[KnowledgeBase, list[TraceStep]]:
     """Run the syllogism and the cycle rule to a fixpoint; returns a copy and its trace.
 
-    Two first-in first-out queues hold the contexts still to apply: node
-    triples for the syllogism and ordered pairs for the cycle rule.  They
-    start with every context whose premise ends can narrow, and the
-    syllogism queue drains before each pair.  The store writes a narrowed
-    hull and `_constrain` meets it into `kb.edges`, so a stated range that it
-    leaves no label of is a clash, as at ingestion; the ratio bounds are
-    relaxed through the edge, and the contexts that read what moved and can
-    narrow are queued again, each at most once at a time.
+    Two worklists, `OrderedDict`s used as ordered sets and taken from the
+    front, hold the contexts still to apply: node triples for the syllogism
+    and ordered pairs for the cycle rule.  They start with every context
+    whose premise ends can narrow, and the syllogism worklist drains before
+    each pair.  The store writes a narrowed hull and `_constrain` meets it
+    into `kb.edges`, so a stated range that it leaves no label of is a
+    clash, as at ingestion; the ratio bounds are relaxed through the edge,
+    and the contexts that read what moved and can narrow are queued again,
+    each at most once at a time.
     """
     out = kb.copy()
     trace: list[TraceStep] = []
     domain = _domain(out)
     names = domain.names
-    syllogisms, pairs = _Queue(domain.triples()), _Queue(domain.close())
+    syllogisms, pairs = OrderedDict.fromkeys(domain.triples()), OrderedDict.fromkeys(domain.close())
     while syllogisms or pairs:
         if syllogisms:
-            phase, context = "syllogism", syllogisms.take()
+            phase, context = "syllogism", syllogisms.popitem(last=False)[0]
             target, candidate = domain.syllogism(context)
         else:
-            phase, context = domain.cycle_phase, pairs.take()
+            phase, context = domain.cycle_phase, pairs.popitem(last=False)[0]
             target, candidate = domain.bayes(context)
         new = domain.narrow(target, candidate)
         if new is _SAME:
@@ -564,7 +566,7 @@ def saturate(kb: KnowledgeBase) -> tuple[KnowledgeBase, list[TraceStep]]:
             if narrowed is _SAME:  # the upper end, from the path x -> .. -> y
                 context = domain.path(x, y)[::-1]
             else:  # the lower end, from the path y -> .. -> x; the upper one waits its turn
-                pairs.extend([context])
+                pairs[context] = None
                 context, candidate, new = domain.path(y, x), lower, narrowed
         shown = tuple(names[x] for x in context)
         pair = domain.pair(target)
@@ -578,34 +580,14 @@ def saturate(kb: KnowledgeBase) -> tuple[KnowledgeBase, list[TraceStep]]:
         domain.write(target, new)
         value = domain.value(target)
         try:
-            _constrain(out, *pair, *domain.statement(value))
+            _constrain(out, *pair, value)
         except ContradictionError as exc:  # the interval left no label of a stated range
             raise ContradictionError(f"{phase} ({', '.join(shown)}): {exc}", trace[-20:]) from None
         trace.append(TraceStep(phase, shown, pair, old, domain.show(value)))
         edge = divmod(target, domain.n)
-        syllogisms.extend(domain.triples(edge))
-        pairs.extend(domain.relax(*edge))
+        syllogisms.update(dict.fromkeys(domain.triples(edge)))
+        pairs.update(dict.fromkeys(domain.relax(*edge)))
     return out, trace
-
-
-class _Queue(deque):
-    """Contexts waiting for their rule, first in first out, each queued at most once."""
-
-    def __init__(self, contexts: list[tuple[int, ...]]):
-        super().__init__()
-        self.queued: set[tuple[int, ...]] = set()
-        self.extend(contexts)
-
-    def extend(self, contexts: list[tuple[int, ...]]) -> None:
-        """Queue, in the order given, the contexts not queued yet; `contexts` repeats none."""
-        fresh = [context for context in contexts if context not in self.queued]
-        self.queued.update(fresh)
-        super().extend(fresh)
-
-    def take(self) -> tuple[int, ...]:
-        context = self.popleft()
-        self.queued.remove(context)
-        return context
 
 
 _table_cache: dict[tuple, dict[Key, QRange]] = {}

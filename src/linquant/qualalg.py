@@ -180,11 +180,13 @@ class Partition:
         try:
             return self._index[name]
         except KeyError:
-            raise KeyError(f"unknown label {name!r}; scale has {self.labels}") from None
+            raise ValueError(f"unknown label {name!r}: the scale has {', '.join(self.labels)}") from None
 
     def range_of(self, low_name: str, high_name: str | None = None) -> QRange:
         lo = self.label_index(low_name)
         hi = lo if high_name is None else self.label_index(high_name)
+        if lo > hi:
+            raise ValueError(f"label range [{low_name}, {high_name}]: {low_name} lies above {high_name}")
         return QRange(lo, hi)
 
     def name_of(self, q: QRange) -> str:

@@ -383,6 +383,17 @@ def test_input_error_is_one_line(tmp_path, capsys, case):
         assert captured.err.startswith(f"error: line {line}: ")
 
 
+@pytest.mark.parametrize("line, message", [
+    ("q a b nosuch", "unknown label 'nosuch': the scale has none, few, half, most, all"),
+    ("q a b most few", "label range [most, few]: most lies above few"),
+])
+def test_malformed_label_line_names_the_labels(tmp_path, capsys, line, message):
+    kb = tmp_path / "labels.kb"
+    kb.write_text(SCALE5 + line + "\n")
+    assert main(["propagate", str(kb), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: line 3: {message}\n"
+
+
 NAMES = [f"c{i}" for i in range(6)]
 SCALE7_LABELS = qualalg.SCALE7_LABELS
 GRID = [0.0, 0.1, 0.2, 0.3, 0.5, 0.7, 0.8, 0.9, 1.0]

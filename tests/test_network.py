@@ -371,6 +371,28 @@ def test_clash_of_value_sets_whose_labels_touch(mode):
         saturate(parse_kb(EMPTY_MEET_KB, mode))
 
 
+# the cycle c1 -> c2 -> c0 -> c1 pins P(c1|c0) to 0, which the stated range
+# [al-none, half] excludes: numeric mode narrows the interval to [0, 0] and
+# the stated range has no label left, qualitative mode empties the edge
+CYCLE_OPEN_END_KB = SCALE7 + """\
+q c1 c2 half half
+q c0 c1 al-none half
+q c1 c0 none none
+n c2 c0 0.11641929707379628 0.4897393108282905
+"""
+
+
+@pytest.mark.parametrize("mode, message", [
+    ("numeric", "bayes (c1, c2, c0): contradiction on edge c0 -> c1: [al-none, half] vs [0.000, 0.000]"),
+    ("qualitative",
+     "gbt (c1, c2, c0) empties edge c0 -> c1: [al-none, half] meets none [0.000000, 0.000000]"),
+])
+def test_cycle_clash_on_an_open_stated_end(mode, message):
+    with pytest.raises(ContradictionError) as err:
+        saturate(parse_kb(CYCLE_OPEN_END_KB, mode))
+    assert str(err.value) == message
+
+
 def _stated_by_form(p, frm: str, to: str, v: Fraction, form: int) -> str:
     """One true statement about P(to|frm) = v: a grid interval, a point, or a label containing v."""
     point = I(float(v), float(v))
@@ -752,10 +774,11 @@ class TestWorklist:
         cases.append(parse_kb(chain_kb(12) + "n c0 c2 0 0.05\n"))  # a clash
         first = [saturated(kb) for kb in cases]
         assert first[-1] is None
-        extend = network._Queue.extend
-        monkeypatch.setattr(
-            network._Queue, "extend", lambda queue, contexts: extend(queue, contexts[::-1])
-        )
+        for name in ("triples", "close", "relax"):  # every batch the worklists take, reversed
+            listed = getattr(network._Store, name)
+            monkeypatch.setattr(
+                network._Store, name, lambda store, *args, listed=listed: listed(store, *args)[::-1]
+            )
         for kb, one in zip(cases, first):
             other = saturated(kb)
             assert (one is None) == (other is None)
@@ -931,11 +954,11 @@ class TestCycleClosure:
         assert sat.qual("c3", "c2") == p.approximate(lp) == p.range_of("few", "all")
 
     def test_each_cycle_step_explains_itself(self):
-        # the rotation a cycle step names, read at the fixpoint, moves each
-        # end that the step moved at least as far (numeric steps show three
-        # decimals)
+        # a cycle step names a simple cycle y, .., x for its edge x -> y, and
+        # that rotation, read at the fixpoint, moves each end that the step
+        # moved at least as far (numeric steps show three decimals)
         steps = 0
-        rings = parse_kb(RING5_NUMERIC), parse_kb(RING5_QUALITATIVE, "qualitative")
+        rings = parse_kb(RING5_NUMERIC), parse_kb(RING5_QUALITATIVE, "qualitative"), parse_kb(HOP_LOOP_KB)
         for kb in (*_fixpoint_cases(), *rings):
             sat, trace = saturate(kb)
             domain = network._domain(sat)
@@ -943,6 +966,8 @@ class TestCycleClosure:
                 if step.phase == "syllogism":
                     continue
                 steps += 1
+                assert len(set(step.context)) == len(step.context), step
+                assert (step.context[0], step.context[-1]) == step.edge[::-1], step
                 target, candidate = rotation_candidate(domain, [domain.index[x] for x in step.context])
                 assert domain.pair(target) == step.edge
                 if kb.mode == "numeric":
@@ -955,6 +980,23 @@ class TestCycleClosure:
                 assert lo == before_lo or got[0] >= lo - tol, step
                 assert hi == before_hi or got[1] <= hi + tol, step
         assert steps > 100
+
+
+    def test_a_ratio_that_falls_by_rounding_keeps_its_path(self):
+        # after `close`, c0 -> c2 -> c0 multiplies to 1, and its rounding once
+        # "tightened" ratio(c0, c4) through c2 while ratio(c2, c4) ran through
+        # c0, so the first step on c2 -> c4 named the walk c0, c2, c0, c2
+        sat, trace = saturate(parse_kb(HOP_LOOP_KB))
+        steps = [step for step in trace if step.phase == "bayes"]
+        assert steps[0].edge == ("c2", "c4") and steps[0].context == ("c4", "c0", "c2")
+
+
+HOP_LOOP_KB = SCALE7 + """\
+n c4 c0 0.6436205744307797 0.7796491580119393
+n c2 c0 0.5 0.5
+n c0 c2 0.7 0.7
+n c4 c2 0.1 0.2
+"""
 
 
 class TestGBT:
