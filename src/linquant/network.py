@@ -12,13 +12,13 @@ candidate into the edge, and an empty meet raises `ContradictionError`.
 interval or a label range, reaches it as the value of a stated line does,
 and is met in the same way.  Every meet is `qualalg.intersection`, of the
 value sets of two flagged hulls, and an empty meet is the one clash.  In
-`_constrain` one value set is the edge's and one the statement's: an
-interval, or where a label range is stated, the part of the interval in
-the range's values.  A self edge stores
-nothing: it holds P(a|a) = 1, so a statement on one is a clash when it
-excludes 1, as `al-all` does.  A label range keeps the labels that the
-meet leaves (`Partition.restrict`), in a statement and in `narrow` alike.
-Numeric mode stops where a bound moves by at most 1e-9, so floating point
+`_constrain` one value set is the edge's, the flagged hull that its last
+meet left, which the `Edge` keeps; the other is the statement's, an
+interval or a label range's values.  A self edge stores nothing: it holds
+P(a|a) = 1, so a statement on one is a clash when it excludes 1, as
+`al-all` does.  A label range keeps the labels that the meet leaves
+(`Partition.restrict`), in a statement and in `narrow` alike.  Numeric
+mode stops where a bound moves by at most 1e-9, so floating point
 terminates.  Qualitative mode approximates a meet once, when it moved the
 hull, and its lattice of ranges is finite.  Two label ranges with no common
 label that share a value, a threshold, are no clash: a statement keeps the
@@ -86,18 +86,22 @@ from typing import NamedTuple
 from . import qualalg, tables
 from .bounds import bayes_cycle, syllogism_lower, syllogism_upper  # noqa: F401  traced by perfbench
 from .qualalg import (
-    _ANY, FULL, TOL, ContradictionError, Flagged, Partition, ProbInterval, QRange, UnknownNode, Value,
+    _ANY, TOL, ContradictionError, Flagged, Partition, ProbInterval, QRange, UnknownNode, Value,
     strip_comment,
 )
 from .tables import Key, eval_extended  # noqa: F401  perfbench/tracer.py wraps it here
 
 
 class Edge(NamedTuple):
-    interval: ProbInterval
+    hull: Flagged  # the value set `_constrain` met: (lo, lo attained, hi, hi attained)
     qual: QRange | None = None
 
+    @property
+    def interval(self) -> ProbInterval:
+        return ProbInterval(self.hull[0], self.hull[2])
 
-_VACUOUS = Edge(FULL)  # what an unstated edge holds
+
+_VACUOUS = Edge(_ANY)  # what an unstated edge holds
 _CERTAIN = ProbInterval(1.0, 1.0)  # P(a|a), which no edge stores
 
 
@@ -182,23 +186,19 @@ def ingest(kb: KnowledgeBase, line: str) -> None:
 def _constrain(kb: KnowledgeBase, frm: str, to: str, value: ProbInterval | QRange) -> None:
     """Meet a stated interval or label range into the edge frm -> to: the one writer of an edge.
 
-    The edge and the statement each hold a value set: an interval, or where a
-    label range is stated, the part of it in the range's values
-    (`flagged_semantics`, the range's hull and its flags).  One
-    `qualalg.intersection` meets the two, and an empty meet is a clash.  A
-    self edge holds P(a|a) = 1 and stores nothing.  Two ranges that share
-    labels keep those labels, and two that share only a threshold the upper
-    one; the range kept holds the labels the meet leaves
-    (`Partition.restrict`).
+    The edge holds the value set its last meet left, `Edge.hull`, and the
+    statement its own: an interval, or a label range's values
+    (`flagged_semantics`).  One `qualalg.intersection` meets the two, an
+    empty meet is a clash, and the edge keeps the rest.  A self edge holds
+    P(a|a) = 1 and stores nothing.  Two ranges that share labels keep those
+    labels, and two that share only a threshold the upper one; the range
+    kept holds the labels the meet leaves (`Partition.restrict`), so an open
+    end of the hull lies on an open end of the range's values.
     """
     p = kb.partition
-    old = Edge(_CERTAIN) if frm == to else kb.edges.get((frm, to), _VACUOUS)
-    was = old.interval.flagged()
-    if old.qual is not None:  # the edge's interval lies in its range's hull
-        lo, lo_att, hi, hi_att = p.flagged_semantics(old.qual)
-        was = was[0], was[0] != lo or lo_att, was[2], was[2] != hi or hi_att
+    old = Edge(_CERTAIN.flagged()) if frm == to else kb.edges.get((frm, to), _VACUOUS)
     qual = value if isinstance(value, QRange) else None
-    common = qualalg.intersection(was, value.flagged() if qual is None else p.flagged_semantics(qual))
+    common = qualalg.intersection(old.hull, value.flagged() if qual is None else p.flagged_semantics(qual))
     if common is None:
         if frm == to:
             raise ContradictionError(f"self edge {frm} must be certain")
@@ -213,7 +213,7 @@ def _constrain(kb: KnowledgeBase, frm: str, to: str, value: ProbInterval | QRang
         qual = qualalg.meet(qual, old.qual) or (qual if qual.low > old.qual.low else old.qual)
     if qual is not None:
         qual = p.restrict(qual, common)
-    kb.edges[(frm, to)] = Edge(ProbInterval(common[0], common[2]), qual)
+    kb.edges[(frm, to)] = Edge(common, qual)
 
 
 def parse_kb(text: str, mode: str = "numeric") -> KnowledgeBase:
@@ -479,7 +479,8 @@ class _Intervals(_Store):
     show = str
 
     def flagged(self, kb: KnowledgeBase, pair: tuple[str, str]) -> Flagged:
-        return kb.interval(*pair).flagged()
+        lo, _, hi, _ = kb.edges[pair].hull  # the closed interval: a numeric edge attains both ends
+        return lo, True, hi, True
 
     def value(self, e: int) -> ProbInterval:
         return ProbInterval(self.lo[e], self.hi[e])
@@ -590,15 +591,9 @@ def saturate(kb: KnowledgeBase) -> tuple[KnowledgeBase, list[TraceStep]]:
     return out, trace
 
 
-_table_cache: dict[tuple, dict[Key, QRange]] = {}
-
-
 def gen_table_cached(p: Partition) -> dict[Key, QRange]:
-    """`tables.gen_table` memoised per scale (saturation itself reads no table)."""
-    key = (p.thresholds, p.labels)
-    if key not in _table_cache:
-        _table_cache[key] = tables.gen_table(p)
-    return _table_cache[key]
+    """`tables.gen_table(p)`, looked up when called so a wrapper set after import sees it; no memo."""
+    return tables.gen_table(p)
 
 
 def gbt_qualitative(forward: list[Flagged], backward: list[Flagged]) -> Flagged:
@@ -638,11 +633,14 @@ def statements(kb: KnowledgeBase) -> list[str]:
 def derived_statements(
     kb_before: KnowledgeBase, kb_after: KnowledgeBase
 ) -> dict[tuple[str, str], QRange]:
-    """Edges that were vacuous at ingestion and are informative after, in name order."""
+    """Edges that were vacuous at ingestion and are informative after, in name order.
+
+    In both modes the label range decides: "vacuous" before is the full
+    range, and "informative" after is any narrower one.
+    """
     full = kb_before.partition.full_range()
-    domain = _domain(kb_after)
-    pairs = [domain.pair(e) for e in domain.stated if domain.informative(e)]
-    return {pair: kb_after.qual(*pair) for pair in pairs if kb_before.qual(*pair) == full}
+    ranges = {pair: kb_after.qual(*pair) for pair in sorted(kb_after.edges)}
+    return {pair: q for pair, q in ranges.items() if q != full and kb_before.qual(*pair) == full}
 
 
 def matrix_csv(kb: KnowledgeBase) -> str:

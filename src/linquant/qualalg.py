@@ -199,7 +199,7 @@ class Partition:
 
     def validate(self, q: QRange) -> None:
         if not (0 <= q.low <= q.high <= self.top):
-            raise ValueError(f"QRange {q} outside scale with {self.n_labels} labels")
+            raise ValueError(f"{q!r} outside scale with {self.n_labels} labels")
 
     # -- numeric semantics -------------------------------------------------
 

@@ -233,6 +233,11 @@ class TestBayesCycle:
         lo, hi = bayes_cycle([0.0] * 3, [1.0] * 3, [0.0, 1.0], [1.0, 1.0])
         assert (lo, hi) == (0.0, 1.0)
 
+    def test_premise_counts_are_checked(self):
+        with pytest.raises(ValueError) as err:
+            bayes_cycle([1.0, 1.0], [1.0, 1.0], [], [])
+        assert str(err.value) == "a cycle needs k >= 2 forward edges and k - 1 backward edges"
+
 
 class TestTypicality:
     def test_full_typicality(self):
@@ -258,6 +263,11 @@ class TestTypicality:
     def test_zero_reference_class(self):
         with pytest.raises(ValueError):
             typicality_bounds(TypicalityInput(0.0, 0.5))
+
+    def test_inputs_outside_the_unit_interval(self):
+        with pytest.raises(ValueError) as err:
+            TypicalityInput(1.5, 0.2)
+        assert str(err.value) == "typicality inputs must lie in [0, 1]"
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(st.floats(min_value=0.0, max_value=1.0))

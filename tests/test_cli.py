@@ -275,6 +275,13 @@ def test_check_negative_n_is_a_usage_error(capsys):
     assert "argument --n: expected a count >= 0" in capsys.readouterr().err
 
 
+def test_check_n_not_a_number_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--n", "x"])
+    assert exc.value.code == 2
+    assert "argument --n: expected a whole number" in capsys.readouterr().err
+
+
 def test_check_adams_violation_exit_code(tmp_path, capsys, monkeypatch):
     # a Bayes-rule bound above its LP minimum, 0.49 at alpha 0.3, is unsound
     monkeypatch.setattr(adams, "bayes_rule_bound", lambda alpha: 0.9)

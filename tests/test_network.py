@@ -64,6 +64,11 @@ class TestIngest:
         ingest(kb, "n single children 0.05 0.8")
         assert kb.interval("single", "children") == I(0.05, 0.8)
 
+    def test_comment_line_states_nothing(self, p7):
+        kb = KnowledgeBase(p7, "numeric")
+        ingest(kb, "   # only a comment")
+        assert (kb.nodes, kb.edges, kb.queries) == ([], {}, [])
+
     def test_reingest_intersects(self, p7):
         kb = KnowledgeBase(p7, "numeric")
         ingest(kb, "n a b 0 0.5")
@@ -301,7 +306,9 @@ def test_stated_range_agrees_with_its_interval(mode):
     # statement.  In qualitative mode that intersects the edge's interval
     # with the new range's hull and restricts the new range to the result;
     # on edges that keep this invariant neither step can fail or drop a
-    # label, so the edge takes the range that `narrow` returned.
+    # label, so the edge takes the range that `narrow` returned.  The edge
+    # keeps the value set it met, `edge.hull`, and a later meet reads it as
+    # it stands: its open ends are those of its range's values.
     rng = random.Random(12)
     checked = 0
     for _ in range(300):
@@ -314,10 +321,15 @@ def test_stated_range_agrees_with_its_interval(mode):
             pass
         for kb in kbs:
             for pair, edge in kb.edges.items():
-                if edge.qual is None:
+                if edge.qual is None:  # an interval alone attains both ends
+                    assert edge.hull == edge.interval.flagged(), (pair, edge)
                     continue
                 checked += 1
                 assert p.restrict(edge.qual, edge.interval.flagged()) == edge.qual, (pair, edge)
+                # an end of the met value set is open exactly on an open end of the range's values
+                lo, lo_att, hi, hi_att = p.flagged_semantics(edge.qual)
+                assert edge.hull[1] == (edge.hull[0] != lo or lo_att), (pair, edge)
+                assert edge.hull[3] == (edge.hull[2] != hi or hi_att), (pair, edge)
                 if mode == "qualitative":
                     hull = p.semantics(edge.qual)
                     assert contains_interval(hull, edge.interval, tol=0.0), (pair, edge)
@@ -435,6 +447,17 @@ def test_kb_of_one_distribution_is_consistent(mode, weights, forms):
         assert contains(p.semantics(sat.qual(names[f], names[t])), v, tol=1e-9), (lines, f, t)
 
 
+@pytest.mark.parametrize("mode", ["numeric", "qualitative"])
+def test_derived_statements_read_the_label_range(mode):
+    # P(b|a) in [1e-10, 1] is an informative interval, but its label range
+    # is full before and after saturation, so neither mode lists it
+    kb = parse_kb("@partition 0.2 0.4 0.6 0.8\n@labels none al-none few half most al-all all\n"
+                  "n a b 0.0000000001 1\nn b c 0.5 0.6\n", mode)
+    sat, _ = saturate(kb)
+    assert sat.interval("a", "b") == I(1e-10, 1.0)
+    assert network.derived_statements(kb, sat) == {}
+
+
 class TestSaturateQualitative:
     def test_student_example_seven_labels(self):
         kb = parse_kb(STUDENTS_KB7, mode="qualitative")
@@ -471,7 +494,7 @@ class TestSaturateQualitative:
         for pair, edge in parse_kb(STUDENTS_KB7, mode="qualitative").edges.items():
             kbn.add_node(pair[0])
             kbn.add_node(pair[1])
-            kbn.edges[pair] = network.Edge(edge.interval, None)
+            kbn.edges[pair] = network.Edge(edge.interval.flagged(), None)
         satn, _ = saturate(kbn)
         for f in satq.nodes:
             for t in satq.nodes:
@@ -1023,7 +1046,7 @@ class TestGBT:
             for (f, t), q in zip(chain, labels):
                 kb.add_node(f)
                 kb.add_node(t)
-                kb.edges[(f, t)] = network.Edge(p5.semantics(q), q)
+                kb.edges[(f, t)] = network.Edge(p5.flagged_semantics(q), q)
             got = gbt(kb, names)
             assert p5.specificity_level(got) >= min(
                 floor_level, p5.specificity_level(kb.qual("c", "a"))

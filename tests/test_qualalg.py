@@ -89,6 +89,17 @@ class TestValues:
         with pytest.raises(ValueError, match="above high"):
             QRange(3, 2)
 
+    def test_range_outside_the_scale(self, p7):
+        with pytest.raises(ValueError) as err:
+            p7.validate(QRange(0, 7))
+        assert str(err.value) == "QRange(low=0, high=7) outside scale with 7 labels"
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5])
+    def test_scale5_alpha_outside_its_range(self, alpha):
+        with pytest.raises(qualalg.ThresholdOutOfRange) as err:
+            scale5(alpha)
+        assert str(err.value) == f"alpha {alpha} outside (0, 0.5)"
+
 
 class TestSemantics:
     def test_few_to_most(self, p7):
