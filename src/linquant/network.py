@@ -45,8 +45,11 @@ attained or open, as the bounds of difference-bound matrices are strict or
 not (Bengtsson & Yi 2004), so one closure serves both modes.  The candidate
 for x -> y, [lo(x|y) / ratio(y, x), hi(x|y) . ratio(x, y)] clipped to
 [0, 1], is never looser than `bayes_cycle` or `gbt_qualitative` on any
-rotation of any simple cycle, which the tests keep as references.  A step
-narrows one end and names the cycle A1 = y, .., Ak = x of that end's path.
+rotation of any simple cycle, which the tests keep as references.  Bounds
+round a cycle that multiply to less than P(x)/P(x) = 1, or to 1 through an
+open end, are a clash, which `_through` names before the closure stores it.
+So every path is simple: a step narrows one end and names the cycle
+A1 = y, .., Ak = x of that end's path.
 
 The engine is a worklist (AC-3, Mackworth 1977): it queues a context only
 when the premise ends that its rule reads can make the candidate
@@ -86,7 +89,7 @@ from typing import NamedTuple
 from . import qualalg, tables
 from .bounds import bayes_cycle, syllogism_lower, syllogism_upper  # noqa: F401  traced by perfbench
 from .qualalg import (
-    _ANY, TOL, ContradictionError, Flagged, Partition, ProbInterval, QRange, UnknownNode, Value,
+    _ANY, FULL, TOL, ContradictionError, Flagged, Partition, ProbInterval, QRange, UnknownNode, Value,
     strip_comment,
 )
 from .tables import Key, eval_extended  # noqa: F401  perfbench/tracer.py wraps it here
@@ -299,12 +302,9 @@ class _Store:
 
     def write(self, e: int, hull: Flagged) -> None:
         self.lo[e], self.lo_att[e], self.hi[e], self.hi_att[e] = hull
-        if self.informative(e):
+        if hull != _ANY:  # an informative edge
             u, v = divmod(e, self.n)
             self.near[u][v] = self.near[v][u] = True
-
-    def informative(self, e: int) -> bool:
-        return self.lo[e] != 0.0 or self.hi[e] != 1.0 or not (self.lo_att[e] and self.hi_att[e])
 
     def triples(self, pair: tuple[int, int] | None = None) -> list[tuple[int, int, int]]:
         """The syllogisms (a, b, c) whose premise ends can narrow; if `pair` is given, those that read it.
@@ -369,16 +369,23 @@ class _Store:
         `close` pivots on k as x = y = k, d = 1, and skips k's own row and
         column, which that cannot move.  Only bounded entries come in, so 0
         times an inf is 0, and a product of 0 is attained.  At an equal value
-        the open bound is the tighter.  A bound that falls only by rounding
-        keeps its `hop`, so no path takes a cycle whose ratios multiply to 1,
-        as c0 -> c2 -> c0 does where P(c2|c0) = 0.7 and P(c0|c2) = 0.5 are
-        stated, and `path` reaches its target on a KB that does not clash.
-        What moved is in index order.
+        the open bound is the tighter.  Before any write, the cycle
+        i -> .. -> x -> y -> .. -> i of each i is a clash if its product is
+        below 1 by more than rounding, or at most 1 + TOL and open, as an open
+        end is met.  A bound that falls only by rounding keeps its `hop`, so
+        no path takes a cycle whose ratios multiply to 1, as c0 -> c2 -> c0
+        does where P(c2|c0) = 0.7 and P(c0|c2) = 0.5 are stated, and `path`
+        never loops.  What moved is in index order.
         """
         n, ratio, att, hop = self.n, self.ratio, self.ratio_att, self.hop
         pivot = x if x == y else -1
         row = [(j, ratio[e], att[e]) for j, e in enumerate(range(y * n, y * n + n))
                if (ratio[e] != inf or not att[e]) and j != pivot]
+        for i, b, b_att in row:  # the cycle i -> .. -> x -> y -> .. -> i bounds P(i)/P(i) = 1
+            a, a_att = ratio[i * n + x], att[i * n + x]
+            v = a * d * b if a and d and b else 0.0
+            if (a != inf or not a_att) and (v < _ROUNDING or v <= 1.0 + TOL and not (a_att and d_att and b_att)):
+                raise self.clash(self.path(y, i) + self.path(i, x)[1:] + [y] * (x != y))
         moved = []
         for i, e in enumerate(range(x, n * n, n)) if row else ():
             a, a_att = ratio[e], att[e]
@@ -455,11 +462,24 @@ class _Store:
         return xy, (min(lo, 1.0), lo_att or lo >= 1.0, min(hi, 1.0), hi_att or hi > 1.0)
 
     def path(self, x: int, y: int) -> list[int]:
-        """The classes of the path from x to y that the ratio bound of (x, y) reads."""
+        """The classes of the path from x to y that the ratio bound of (x, y) reads, a simple path."""
         path = [x]
-        while path[-1] != y and len(path) <= self.n:  # in a KB that clashes it can loop
+        while path[-1] != y:
             path.append(self.hop[path[-1] * self.n + y])
         return path
+
+    def clash(self, cycle: list[int]) -> ContradictionError:
+        """The clash of a ratio cycle that proves P(x)/P(x) < 1: its classes, each hop's edge ends, their product."""
+        n, names, hops, product = self.n, self.names, [], 1.0
+        for u, w in zip(cycle, cycle[1:]):  # P(w)/P(u) <= hi(w|u) / lo(u|w)
+            r, hi, lo = self.direct(u, w)[0], u * n + w, w * n + u
+            product = product * r if product and r else 0.0
+            hops.append(f"P({names[w]}|{names[u]}) {'<=' if self.hi_att[hi] else '<'} {self.hi[hi]!r} / "
+                        f"P({names[u]}|{names[w]}) {'>=' if self.lo_att[lo] else '>'} {self.lo[lo]!r}")
+        digits = next((k for k in range(6, 13) if round(product, k) < 1.0), 6)  # enough to show it below 1
+        bound = f"{product:.{digits}f} < 1" if product < _ROUNDING else f"{product:.6f} through an open end"
+        return ContradictionError(f"ratio cycle ({', '.join(names[c] for c in cycle)}) multiplies to {bound}: "
+                                  + ", ".join(hops))
 
     @staticmethod
     def show_candidate(candidate: Flagged) -> str:
@@ -580,14 +600,14 @@ def saturate(kb: KnowledgeBase) -> tuple[KnowledgeBase, list[TraceStep]]:
             )
         domain.write(target, new)
         value = domain.value(target)
+        edge = divmod(target, domain.n)
         try:
             _constrain(out, *pair, value)
-        except ContradictionError as exc:  # the interval left no label of a stated range
+            pairs.update(dict.fromkeys(domain.relax(*edge)))
+        except ContradictionError as exc:  # no label of a stated range is left, or a ratio cycle clashes
             raise ContradictionError(f"{phase} ({', '.join(shown)}): {exc}", trace[-20:]) from None
         trace.append(TraceStep(phase, shown, pair, old, domain.show(value)))
-        edge = divmod(target, domain.n)
         syllogisms.update(dict.fromkeys(domain.triples(edge)))
-        pairs.update(dict.fromkeys(domain.relax(*edge)))
     return out, trace
 
 
@@ -622,12 +642,12 @@ def query(kb: KnowledgeBase, frm: str, to: str) -> tuple[ProbInterval, QRange]:
 
 
 def statements(kb: KnowledgeBase) -> list[str]:
-    """Readable rendering of every informative edge, in name order (the store's index order)."""
-    domain = _domain(kb)
-    return [
-        "{} -> {} : {}".format(*domain.pair(e), domain.show(domain.value(e)))
-        for e in domain.stated if domain.informative(e)
-    ]
+    """Each informative edge in name order, shown by its label range or interval as the KB's mode reads it."""
+    p = kb.partition
+    read, show, vacuous = ((kb.qual, p.name_of, p.full_range()) if kb.mode == "qualitative"
+                           else (kb.interval, str, FULL))
+    values = {pair: read(*pair) for pair in sorted(kb.edges)}
+    return [f"{frm} -> {to} : {show(value)}" for (frm, to), value in values.items() if value != vacuous]
 
 
 def derived_statements(

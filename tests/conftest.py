@@ -57,6 +57,19 @@ n children single 0 0.05
 n children young 0 0.05
 """
 
+# around the cycle c0, c3, c2, c1 the bounds on the class-mass ratios
+# multiply to 0.14 < 1, so the closure finds the clash before any rule runs
+CYCLE_CLASH = SCALE7 + """\
+n c0 c1 0.732 0.753
+n c1 c0 0.283 0.309
+n c1 c2 0.414 0.454
+n c2 c1 0.323 0.347
+n c2 c3 0.575 0.620
+n c3 c2 0.504 0.518
+n c3 c0 0.730 0.761
+n c0 c3 0.275 0.321
+"""
+
 # printed fixpoint of the numeric student example, P(col | row)
 STUDENTS_SATURATED = {
     ("student", "sport"): (0.900, 0.900),
@@ -221,6 +234,31 @@ def chain_kb(n: int) -> str:
     """An n-class chain whose neighbours overlap, and whose middle class barely meets c0."""
     lines = [f"n c{i} c{i + 1} 0.6 0.8\nn c{i + 1} c{i} 0.55 0.85\n" for i in range(n - 1)]
     return SCALE7 + "".join(lines) + f"n c0 c{n // 2} 0 0.1\nn c{n // 2} c0 0 0.1\n"
+
+
+def mixed_line(rng: random.Random, p, names: list[str]) -> str:
+    """A label range, or an interval that half the time has its ends on a grid of tenths."""
+    a, b = rng.sample(names, 2)
+    if rng.random() < 0.5:
+        low, high = sorted(rng.randrange(p.n_labels) for _ in range(2))
+        return f"q {a} {b} {p.labels[low]} {p.labels[high]}"
+    grid = rng.random() < 0.5
+    lo, hi = sorted(rng.randint(0, 10) / 10 if grid else rng.random() for _ in range(2))
+    return f"n {a} {b} {lo!r} {hi!r}"
+
+
+def mixed_kb(rng: random.Random, p) -> str:
+    """A KB over 3-6 classes whose lines mix label ranges and intervals, often clashing."""
+    names = [f"c{i}" for i in range(rng.randint(3, 6))]
+    lines = [f"@partition {' '.join(map(str, p.thresholds))}", f"@labels {' '.join(p.labels)}"]
+    lines += [mixed_line(rng, p, names) for _ in range(rng.randint(3, 14))]
+    return "\n".join(lines) + "\n"
+
+
+def mixed_kbs(count: int) -> list[str]:
+    """The first `count` `mixed_kb` texts of random.Random(12), each on a scale drawn just before it."""
+    rng = random.Random(12)
+    return [mixed_kb(rng, rng.choice((scale5(0.3), scale7(), scale9()))) for _ in range(count)]
 
 
 def random_numeric_kbs(count: int):

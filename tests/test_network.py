@@ -8,6 +8,7 @@ import itertools
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -33,9 +34,9 @@ from linquant.oracle import class_event, solve, solve_events
 from linquant.qualalg import ProbInterval as I
 
 from conftest import (
-    SCALE7, STUDENTS_KB7, STUDENTS_KB9, STUDENTS_NUMERIC, all_ranges, certified_range, chain_kb,
-    class_masks, conditionals_of, contains, contains_interval, covers, cycle_rotations, points_of,
-    random_numeric_kbs, rotation_candidate, value_set,
+    CYCLE_CLASH, SCALE7, STUDENTS_KB7, STUDENTS_KB9, STUDENTS_NUMERIC, all_ranges, certified_range, chain_kb,
+    class_masks, conditionals_of, contains, contains_interval, covers, cycle_rotations, mixed_kb, mixed_kbs,
+    mixed_line, points_of, random_numeric_kbs, rotation_candidate, value_set,
 )
 
 
@@ -281,25 +282,6 @@ class TestSaturateNumeric:
         )
 
 
-def _mixed_line(rng: random.Random, p, names: list[str]) -> str:
-    """A label range, or an interval that half the time has its ends on a grid of tenths."""
-    a, b = rng.sample(names, 2)
-    if rng.random() < 0.5:
-        low, high = sorted(rng.randrange(p.n_labels) for _ in range(2))
-        return f"q {a} {b} {p.labels[low]} {p.labels[high]}"
-    grid = rng.random() < 0.5
-    lo, hi = sorted(rng.randint(0, 10) / 10 if grid else rng.random() for _ in range(2))
-    return f"n {a} {b} {lo!r} {hi!r}"
-
-
-def _mixed_kb(rng: random.Random, p) -> str:
-    """A KB over 3-6 classes whose lines mix label ranges and intervals, often clashing."""
-    names = [f"c{i}" for i in range(rng.randint(3, 6))]
-    lines = [f"@partition {' '.join(map(str, p.thresholds))}", f"@labels {' '.join(p.labels)}"]
-    lines += [_mixed_line(rng, p, names) for _ in range(rng.randint(3, 14))]
-    return "\n".join(lines) + "\n"
-
-
 @pytest.mark.parametrize("mode", ["numeric", "qualitative"])
 def test_stated_range_agrees_with_its_interval(mode):
     # `_constrain` meets a narrowed value into its edge as it meets a
@@ -315,7 +297,7 @@ def test_stated_range_agrees_with_its_interval(mode):
         p = rng.choice((qualalg.scale5(0.3), qualalg.scale7(), qualalg.scale9()))
         kbs = []
         try:
-            kbs.append(parse_kb(_mixed_kb(rng, p), mode))
+            kbs.append(parse_kb(mixed_kb(rng, p), mode))
             kbs.append(saturate(kbs[0])[0])
         except ContradictionError:
             pass
@@ -347,10 +329,10 @@ def test_a_statement_never_widens_a_numeric_interval():
     checked = 0
     for _ in range(2000):
         p = rng.choice((qualalg.scale5(0.3), qualalg.scale7(), qualalg.scale9()))
-        text = _mixed_kb(rng, p)
+        text = mixed_kb(rng, p)
         try:
             before = saturate(parse_kb(text))[0]
-            extra = _mixed_line(rng, p, sorted(before.nodes))
+            extra = mixed_line(rng, p, sorted(before.nodes))
             after = saturate(parse_kb(text + extra + "\n"))[0]
         except ContradictionError:
             continue
@@ -364,7 +346,8 @@ def test_a_statement_never_widens_a_numeric_interval():
 # P(c2|c3) is stated from 0.41, while the syllogism through c0 caps it at
 # 0.357; no distribution gives c0, c2 or c3 mass.  On the label scale the
 # stated [half, v-many] and the candidate [none, few] touch at 0.4 by name,
-# but the candidate's value set ends at 0.385
+# but the candidate's value set ends at 0.385.  Numeric mode finds the clash
+# on loading: round c2, c3, c0 the ratio bounds multiply to 0.94
 EMPTY_MEET_KB = """\
 @partition 0.1 0.2 0.4 0.6 0.8 0.9
 @labels none al-none v-few few half most v-many al-all all
@@ -379,13 +362,16 @@ n c2 c0 0.8 0.9
 
 @pytest.mark.parametrize("mode", ["numeric", "qualitative"])
 def test_clash_of_value_sets_whose_labels_touch(mode):
-    with pytest.raises(ContradictionError, match=r"^syllogism \(c3, c0, c2\) empties edge c3 -> c2"):
+    clash = {"numeric": r"ratio cycle \(c2, c3, c0, c2\) multiplies to 0\.937874 < 1: ",
+             "qualitative": r"syllogism \(c3, c0, c2\) empties edge c3 -> c2"}[mode]
+    with pytest.raises(ContradictionError, match="^" + clash):
         saturate(parse_kb(EMPTY_MEET_KB, mode))
 
 
 # the cycle c1 -> c2 -> c0 -> c1 pins P(c1|c0) to 0, which the stated range
 # [al-none, half] excludes: numeric mode narrows the interval to [0, 0] and
-# the stated range has no label left, qualitative mode empties the edge
+# the stated range has no label left; qualitative mode reads the open end of
+# al-none, P(c1|c0) > 0, so the ratio cycle c1, c0, c2 multiplies to 0
 CYCLE_OPEN_END_KB = SCALE7 + """\
 q c1 c2 half half
 q c0 c1 al-none half
@@ -395,14 +381,124 @@ n c2 c0 0.11641929707379628 0.4897393108282905
 
 
 @pytest.mark.parametrize("mode, message", [
-    ("numeric", "bayes (c1, c2, c0): contradiction on edge c0 -> c1: [al-none, half] vs [0.000, 0.000]"),
-    ("qualitative",
-     "gbt (c1, c2, c0) empties edge c0 -> c1: [al-none, half] meets none [0.000000, 0.000000]"),
+    pytest.param("numeric", "bayes (c1, c2, c0): contradiction on edge c0 -> c1: [al-none, half] vs [0.000, 0.000]",
+                 id="numeric"),
+    pytest.param("qualitative", "ratio cycle (c1, c0, c2, c1) multiplies to 0.000000 < 1: P(c0|c1) <= 0.0 / "
+                 "P(c1|c0) > 0.0, P(c2|c0) <= 1.0 / P(c0|c2) > 0.0, P(c1|c2) <= 1.0 / P(c2|c1) >= 0.4",
+                 id="qualitative"),
 ])
 def test_cycle_clash_on_an_open_stated_end(mode, message):
     with pytest.raises(ContradictionError) as err:
         saturate(parse_kb(CYCLE_OPEN_END_KB, mode))
     assert str(err.value) == message
+
+
+# the point statements round a, b, c multiply to 0.9999999999: a clash 1e-10
+# wide, which rounding cannot make, and which no rule finds, as no candidate
+# moves an edge by more than 1e-9
+NEAR_ONE_KB = SCALE7 + """\
+n a b 0.3333333333 0.3333333333
+n b a 0.5 0.5
+n b c 0.6 0.6
+n c b 0.4 0.4
+n c a 0.45 0.45
+n a c 0.45 0.45
+"""
+
+# the syllogism (c0, c1, c3) narrows P(c3|c0) to most, below 1, which closes
+# a ratio cycle of product 1 through that open end in qualitative mode, and
+# of 0.79 in numeric mode; a path round that cycle would never end
+OPEN_END_LOOP_KB = """\
+@partition 0.3 0.7
+@labels none few half most all
+q c1 c3 few half
+q c2 c3 all all
+q c0 c2 most all
+q c1 c0 all all
+q c3 c2 few half
+q c3 c0 all all
+q c0 c1 most all
+"""
+
+
+@pytest.mark.parametrize("text, mode, message, steps", [
+    pytest.param(NEAR_ONE_KB, "numeric", "ratio cycle (b, c, a, b) multiplies to 0.9999999999 < 1: P(c|b) <= 0.6 / "
+     "P(b|c) >= 0.4, P(a|c) <= 0.45 / P(c|a) >= 0.45, P(b|a) <= 0.3333333333 / P(a|b) >= 0.5", 0, id="near-one"),
+    pytest.param(OPEN_END_LOOP_KB, "numeric", "syllogism (c0, c1, c3): ratio cycle (c3, c2, c0, c3) multiplies to "
+     "0.790000 < 1: P(c2|c3) <= 0.7 / P(c3|c2) >= 1.0, P(c0|c2) <= 1.0 / P(c2|c0) >= 0.7, "
+     "P(c3|c0) <= 0.79 / P(c0|c3) >= 1.0", 1, id="open-end-loop-numeric"),
+    pytest.param(OPEN_END_LOOP_KB, "qualitative", "syllogism (c0, c1, c3): ratio cycle (c3, c2, c0, c3) multiplies to "
+     "1.000000 through an open end: P(c2|c3) <= 0.7 / P(c3|c2) >= 1.0, P(c0|c2) <= 1.0 / P(c2|c0) >= 0.7, "
+     "P(c3|c0) < 1.0 / P(c0|c3) >= 1.0", 1, id="open-end-loop-qualitative"),
+])
+def test_ratio_cycle_clash(text, mode, message, steps):
+    # a cycle below 1 by more than rounding, or at 1 through an open end, is
+    # a clash where the closure forms it: on loading, or after a narrowing,
+    # whose step it names
+    with pytest.raises(ContradictionError) as err:
+        saturate(parse_kb(text, mode))
+    assert str(err.value) == message and len(err.value.chain) == steps
+
+
+@pytest.fixture(scope="module")
+def cycle_clashes() -> list[tuple[str, str, str]]:
+    """(KB text, mode, message) of each ratio-cycle clash of the KBs above and of 4,000 `mixed_kb` KBs."""
+    clashes = []
+    for text in (CYCLE_CLASH, EMPTY_MEET_KB, CYCLE_OPEN_END_KB, NEAR_ONE_KB, OPEN_END_LOOP_KB, *mixed_kbs(4000)):
+        for mode in ("numeric", "qualitative"):
+            try:
+                saturate(parse_kb(text, mode))
+            except ContradictionError as exc:
+                if "ratio cycle" in str(exc):
+                    clashes.append((text, mode, str(exc)))
+    return clashes
+
+
+CERTIFICATE = re.compile(r"ratio cycle \((.*?)\) multiplies to ([\d.]+) (< 1|through an open end): (.*)$")
+HOP = re.compile(r"P\((\w+)\|(\w+)\) (<=?) ([^\s,]+) / P\((\w+)\|(\w+)\) (>=?) ([^\s,]+)")
+
+
+def test_a_ratio_cycle_clash_shows_its_proof(cycle_clashes):
+    # the clash names a simple cycle and, for each hop u -> w, the ends
+    # hi(w|u) and lo(u|w) that bound P(w)/P(u); their ratios multiply to the
+    # product it prints, which lies below 1, or at 1 with an end open
+    for _, _, message in cycle_clashes:
+        names, product, bound, hops = CERTIFICATE.search(message).groups()
+        cycle = names.split(", ")
+        assert cycle[0] == cycle[-1] and len(set(cycle)) == len(cycle) - 1 >= 2, message
+        ends = HOP.findall(hops)
+        assert [(u, w, u2, w2) for w, u, _, _, u2, w2, _, _ in ends] == [
+            (u, w, u, w) for u, w in zip(cycle, cycle[1:])], message
+        ratios = [float(hi) and (float(hi) / float(lo) if float(lo) else math.inf) for *_, hi, _, _, _, lo in ends]
+        got = 0.0 if 0.0 in ratios else math.prod(ratios)
+        decimals = len(product.split(".")[1])
+        assert abs(got - float(product)) <= 0.5 * 10**-decimals + 1e-15, message
+        if bound == "< 1":
+            assert got < 1.0 - 1e-12, message
+        else:
+            assert got <= 1.0 + qualalg.TOL and any(rel in "<>" for end in ends for rel in end[2::4]), message
+    assert len(cycle_clashes) > 60
+
+
+def test_the_edges_a_clash_on_loading_names_clash_alone(cycle_clashes):
+    # a KB of only the 2k edges that a k-class ratio cycle reads, each stated
+    # as its mode reads it, clashes with the same cycle
+    checked = 0
+    for text, mode, message in cycle_clashes:
+        if not message.startswith("ratio cycle"):  # found after a rule ran
+            continue
+        kb = parse_kb(text, mode)
+        p, cycle = kb.partition, CERTIFICATE.search(message)[1].split(", ")
+        lines = [line for line in text.splitlines() if line.startswith("@")]
+        for u, w in dict.fromkeys(pair for hop in zip(cycle, cycle[1:]) for pair in (hop, hop[::-1])):
+            i, q = kb.interval(u, w), kb.qual(u, w)
+            lines.append(f"n {u} {w} {i.lo!r} {i.hi!r}" if mode == "numeric"
+                         else f"q {u} {w} {p.labels[q.low]} {p.labels[q.high]}")
+        with pytest.raises(ContradictionError) as err:
+            saturate(parse_kb("\n".join(lines) + "\n", mode))
+        assert str(err.value) == message, "\n".join(lines)
+        checked += 1
+    assert checked > 50
 
 
 def _stated_by_form(p, frm: str, to: str, v: Fraction, form: int) -> str:
@@ -732,11 +828,7 @@ class TestWorklist:
         monkeypatch.setattr(store, "triples", triples)
         monkeypatch.setattr(store, "close", close)
         monkeypatch.setattr(store, "relax", relax)
-        rng = random.Random(12)
-        texts = []
-        for _ in range(600):
-            p = rng.choice((qualalg.scale5(0.3), qualalg.scale7(), qualalg.scale9()))
-            texts.append(_mixed_kb(rng, p))
+        texts = mixed_kbs(600)
         rng = random.Random(26)
         for k in range(80):
             n = 5 + k % 4
